@@ -33,6 +33,9 @@ LAMBDA_CAP = 1e12
 # Squared step norms below this are treated as stagnation in the secant update.
 STAGNANT_SNORM2 = 1e-30
 
+# Elements per row block of the secant update's scratch buffer (512 KB of float64).
+_UPDATE_BLOCK_ELEMENTS = 65536
+
 ResidualEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
@@ -288,22 +291,44 @@ def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
     return beta0.with_values(np.asarray(values))
 
 
-def broyden_update(b: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rank-one secant update: B + (t - B s) s^T / ||s||^2.
+def broyden_update(
+    b: np.ndarray, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rank-one secant update: B + u s^T with u = (t - B s) / ||s||^2.
 
     The result maps the step ``s`` to the observed residual change ``t``
-    exactly (up to round-off).
+    exactly (up to round-off).  It is written to ``out`` and returned;
+    ``out`` has ``b``'s shape and may be ``b`` itself for an in-place
+    update.  Without ``out`` a new matrix is returned and ``b`` is left
+    untouched.
+
+    ``u s^T`` is never formed in full: it is added ``_UPDATE_BLOCK_ELEMENTS
+    // n`` rows at a time through one scratch buffer.  The products and sums
+    are those of ``b + np.outer(u, s)``, so the result agrees with it bit
+    for bit.
 
     Raises:
         StagnantStep: when ``||s||^2`` is below ``STAGNANT_SNORM2``;
             dividing by it would amplify noise rather than add information.
+            ``out`` is not modified then.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     snorm2 = float(s @ s)
     if snorm2 < STAGNANT_SNORM2:
         raise StagnantStep(f"squared step norm {snorm2:.3e} below {STAGNANT_SNORM2:.0e}")
-    return b + np.outer((t - b @ s) / snorm2, s)
+    u = (t - b @ s) / snorm2
+    if out is None:
+        out = np.empty(b.shape)
+    m = u.size
+    rows = max(1, _UPDATE_BLOCK_ELEMENTS // s.size)
+    scratch = np.empty((min(rows, m), s.size))
+    for i in range(0, m, rows):
+        j = min(i + rows, m)
+        block = scratch[: j - i]
+        np.multiply(u[i:j, None], s, out=block)
+        np.add(b[i:j], block, out=out[i:j])
+    return out
 
 
 def assemble_lm_system(
@@ -370,26 +395,23 @@ def constrain_step(beta: Parameters, p: np.ndarray, alpha: float = 1.0) -> float
 
 
 def armijo_holds(
-    r_old: np.ndarray,
-    r_new: np.ndarray,
-    p: np.ndarray,
+    norm_old: float,
+    norm_new: float,
+    slope: float,
     alpha: float,
     c: float,
-    b: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> bool:
-    """Sufficient-decrease test on the residual norm.
+    """Sufficient-decrease test on the residual norm:
+    ``norm_new <= norm_old + c * alpha * slope``.
 
-    The slope term uses the least-squares gradient ``B^T r_old`` projected on
-    the direction; it is negative for descent directions, so acceptance
-    demands a strict decrease of the norm.  In weighted runs the norm and
-    gradient carry the weights (the same metric the direction solve
-    targets); unit weights reduce bitwise to the plain form.
+    ``slope`` is the least-squares gradient ``B^T W r_old`` projected on the
+    direction; :func:`optimize` takes it as ``-(rhs @ p)`` from the right-hand
+    side of the direction solve, once per direction.  It is negative for
+    descent directions, so acceptance demands a strict decrease of the norm.
+    Both norms are :func:`weighted_norm` values (the metric the direction
+    solve targets).
     """
-    wr = r_old if weights is None else weights * r_old
-    slope = float((b.T @ wr) @ p)
-    bound = weighted_norm(r_old, weights) + c * alpha * slope
-    return weighted_norm(r_new, weights) <= bound
+    return norm_new <= norm_old + c * alpha * slope
 
 
 def max_relative_change(p: np.ndarray, values: np.ndarray) -> float:
@@ -423,10 +445,14 @@ def backtrack(
     config: SolverConfig,
     evaluate: ResidualEvaluator,
     r_old: np.ndarray,
-    b: np.ndarray,
+    slope: float,
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, bool]:
     """Halving line search along ``p`` from ``beta``.
+
+    ``slope`` is the gradient of the least-squares objective at ``r_old``
+    projected on ``p`` (see :func:`armijo_holds`); the norm of ``r_old`` is
+    computed once here and shared by every trial.
 
     Starts from the bound-constrained full step and halves until the
     sufficient-decrease test passes or the next halving would drop to the
@@ -436,26 +462,31 @@ def backtrack(
     damping factor instead of taking an ascent step.
 
     A trial whose evaluation fails is treated like a failed decrease test;
-    only if every trial fails to evaluate does the failure propagate.
+    only if every trial fails to evaluate does the failure propagate.  A
+    trial whose squared norm overflows to inf fails the test; numpy's
+    overflow warnings are suppressed for the whole search, including the
+    evaluator's trial calls.
     """
     alpha = constrain_step(beta, p, 1.0)
     best: tuple[float, float, np.ndarray] | None = None  # (norm, alpha, residuals)
     last_failure: EvaluatorFailure | None = None
-    while True:
-        trial = beta.clip(beta.values + alpha * p)
-        try:
-            r_new = evaluate(trial)
-        except EvaluatorFailure as exc:
-            last_failure = exc
-        else:
-            if armijo_holds(r_old, r_new, p, alpha, config.armijo_c, b, weights):
-                return alpha, r_new, True
-            norm = weighted_norm(r_new, weights)
-            if best is None or norm < best[0]:
-                best = (norm, alpha, r_new)
-        alpha *= 0.5
-        if alpha <= config.alpha_min:
-            break
+    with np.errstate(over="ignore"):
+        norm_old = weighted_norm(r_old, weights)
+        while True:
+            trial = beta.clip(beta.values + alpha * p)
+            try:
+                r_new = evaluate(trial)
+            except EvaluatorFailure as exc:
+                last_failure = exc
+            else:
+                norm = weighted_norm(r_new, weights)
+                if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
+                    return alpha, r_new, True
+                if best is None or norm < best[0]:
+                    best = (norm, alpha, r_new)
+            alpha *= 0.5
+            if alpha <= config.alpha_min:
+                break
     if best is None:
         raise EvaluatorFailure(
             f"every line-search trial failed to evaluate: {last_failure}",
@@ -554,11 +585,8 @@ def optimize(
     ``diagnostics=True`` each record carries a condition estimate of the
     solved system.
     """
-    report, _ = optimize_with_state(
-        evaluate, beta0, config, weights,
-        n_params=n_params, fd_config=fd_config, on_iteration=on_iteration,
-        diagnostics=diagnostics,
-    )
+    report, _ = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
+                          on_iteration, diagnostics, fold_final=False)
     return report
 
 
@@ -575,6 +603,24 @@ def optimize_with_state(
 ) -> tuple[RunReport, SolverState]:
     """Like :func:`optimize` but also returns the final internal state
     (secant matrix, last step pair, final residuals) for diagnostics."""
+    return _optimize(evaluate, beta0, config, weights, n_params, fd_config,
+                     on_iteration, diagnostics, fold_final=True)
+
+
+def _optimize(
+    evaluate: ResidualEvaluator,
+    beta0,
+    config: SolverConfig | None,
+    weights,
+    n_params: int | None,
+    fd_config: "fdiff.FdConfig | None",
+    on_iteration: Callable[[IterationRecord], None] | None,
+    diagnostics: bool,
+    fold_final: bool,
+) -> tuple[RunReport, SolverState]:
+    """The optimization loop.  ``fold_final`` absorbs the last pending step
+    pair into the returned secant matrix; only the state needs it, not the
+    report."""
     config = config or SolverConfig()
     beta = as_parameters(beta0, n_params)
     n = beta.size
@@ -628,7 +674,8 @@ def optimize_with_state(
                 break
         elif pending is not None:
             try:
-                b = broyden_update(b, *pending)
+                # b is private to this run (np.eye or fd_jacobian): update in place.
+                broyden_update(b, *pending, out=b)
                 state.last_step, state.last_residual_change = pending
             except StagnantStep as exc:
                 logger.warning("iteration %d: secant update skipped (%s)", k, exc)
@@ -663,8 +710,10 @@ def optimize_with_state(
             status = RunStatus.Converged
             break
 
+        # rhs = -B^T W r, so the objective's slope along p is -(rhs @ p).
+        slope = -float(rhs @ p)
         try:
-            alpha, r_new, accepted = backtrack(beta, p, config, ev, r, b, w)
+            alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope, w)
         except EvaluatorFailure as exc:
             status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
             break
@@ -708,11 +757,11 @@ def optimize_with_state(
             break
         lam = lam_next
 
-    # Fold the final accepted pair into the secant matrix so diagnostics see
-    # every observed (step, residual change).
-    if pending is not None:
+    # Fold the final pair into the secant matrix so diagnostics see every
+    # observed (step, residual change).
+    if fold_final and pending is not None:
         try:
-            b = broyden_update(b, *pending)
+            broyden_update(b, *pending, out=b)
             state.last_step, state.last_residual_change = pending
         except StagnantStep:
             pass

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from broydenfit import (
     objective_value,
     perturb_initial,
     update_lambda,
+    weighted_norm,
 )
 
 from conftest import CountingEvaluator
@@ -110,11 +112,6 @@ def test_broyden_from_zero_matrix():
     assert np.array_equal(b, [[0.0, 3.0], [0.0, 4.0]])
 
 
-def test_broyden_stagnant_step():
-    with pytest.raises(StagnantStep):
-        broyden_update(np.eye(2), np.array([1e-16, 0.0]), np.array([1.0, 1.0]))
-
-
 def test_broyden_secant_condition_randomized():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(42)
@@ -129,6 +126,37 @@ def test_broyden_secant_condition_randomized():
         bound = 4 * eps * (np.linalg.norm(t)
                            + np.linalg.norm(b, "fro") * np.linalg.norm(s))
         assert lhs <= bound
+
+
+@pytest.mark.parametrize("m, n", [(200000, 20), (800, 200), (1, 1)])
+def test_broyden_blocked_update_bitwise_equal_to_outer_product(m, n):
+    # 200000 x 20 and 800 x 200 span several row blocks.
+    rng = np.random.default_rng(m + n)
+    b = rng.standard_normal((m, n))
+    s = rng.standard_normal(n)
+    t = rng.standard_normal(m)
+    expected = b + np.outer((t - b @ s) / float(s @ s), s)
+    before = b.copy()
+    assert np.array_equal(broyden_update(b, s, t), expected)
+    assert np.array_equal(b, before)  # without out, the input is untouched
+    b2 = np.empty_like(b)
+    assert broyden_update(b, s, t, out=b2) is b2
+    assert np.array_equal(b2, expected)
+    assert broyden_update(b, s, t, out=b) is b
+    assert np.array_equal(b, expected)
+
+
+def test_broyden_stagnant_step():
+    b = np.eye(2)
+    with pytest.raises(StagnantStep):
+        broyden_update(b, np.array([1e-16, 0.0]), np.array([1.0, 1.0]))
+    out = np.full((2, 2), 7.0)
+    with pytest.raises(StagnantStep):
+        broyden_update(b, np.array([1e-16, 0.0]), np.array([1.0, 1.0]), out=out)
+    assert np.array_equal(out, np.full((2, 2), 7.0))
+    with pytest.raises(StagnantStep):
+        broyden_update(b, np.array([1e-16, 0.0]), np.array([1.0, 1.0]), out=b)
+    assert np.array_equal(b, np.eye(2))
 
 
 # --- system assembly and direction solve ------------------------------------
@@ -225,30 +253,25 @@ def test_constrain_pinned_coordinate_stays_positive():
 # --- sufficient decrease ----------------------------------------------------
 
 def test_armijo_large_decrease_accepted():
-    r_old = np.full(4, 5.0)  # norm 10
-    r_new = np.array([1.0, 0.0, 0.0, 0.0])
-    p = np.array([-1.0, -1.0])
-    b = np.ones((4, 2))
-    assert armijo_holds(r_old, r_new, p, 1.0, 1e-4, b)
+    # r_old = (5, 5, 5, 5) has norm 10 and r_new = (1, 0, 0, 0) norm 1; with
+    # B = ones((4, 2)) and p = (-1, -1) the slope (B^T r_old) @ p is -40.
+    assert armijo_holds(10.0, 1.0, -40.0, 1.0, 1e-4)
 
 
 def test_armijo_no_decrease_rejected():
-    r_old = np.array([1.0, 1.0])
-    p = np.array([-1.0, -1.0])
-    b = np.eye(2)  # gradient (1, 1), slope -2 < 0
-    assert not armijo_holds(r_old, r_old, p, 1.0, 1e-4, b)
+    # r_old = (1, 1), B = I: gradient (1, 1), slope along p = (-1, -1) is -2.
+    norm = math.sqrt(2.0)
+    assert not armijo_holds(norm, norm, -2.0, 1.0, 1e-4)
 
 
 def test_armijo_hand_bound():
     # bound = sqrt(2) + 0.5 * 1 * (-2) = sqrt(2) - 1
-    r_old = np.array([1.0, 1.0])
-    p = np.array([-1.0, -1.0])
-    b = np.eye(2)
+    # (r_old = (1, 1), B = I, p = (-1, -1): slope -2)
     bound = math.sqrt(2.0) - 1.0
-    below = np.array([bound - 1e-9, 0.0])
-    above = np.array([bound + 1e-9, 0.0])
-    assert armijo_holds(r_old, below, p, 1.0, 0.5, b)
-    assert not armijo_holds(r_old, above, p, 1.0, 0.5, b)
+    below = bound - 1e-9
+    above = bound + 1e-9
+    assert armijo_holds(math.sqrt(2.0), below, -2.0, 1.0, 0.5)
+    assert not armijo_holds(math.sqrt(2.0), above, -2.0, 1.0, 0.5)
 
 
 # --- backtracking -----------------------------------------------------------
@@ -257,28 +280,28 @@ def _search_setup():
     beta = Parameters([0.0, 0.0])
     p = np.array([-1.0, -1.0])
     r_old = np.array([1.0, 1.0])
-    b = np.eye(2)  # slope along p is -2
-    return beta, p, r_old, b
+    slope = -2.0  # B = I: gradient B^T r_old = (1, 1), projected on p
+    return beta, p, r_old, slope
 
 
 def test_backtrack_full_step_one_evaluation():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([0.1, 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, b)
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (1.0, True)
     assert ev.count == 1
     assert np.array_equal(r_new, [0.1, 0.0])
 
 
 def test_backtrack_half_step_two_evaluations():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
 
     def fn(point):
         # Full step lands at (-1, -1); the halved one at (-0.5, -0.5).
         return np.array([5.0, 0.0]) if point[0] == -1.0 else np.array([0.1, 0.0])
 
     ev = CountingEvaluator(fn)
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, b)
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (0.5, True)
     assert ev.count == 2
 
@@ -291,11 +314,11 @@ def expected_trial_alphas(alpha0=1.0, alpha_min=1e-4):
 
 
 def test_backtrack_floor_counts_and_argmin():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
     # Trial point is (-alpha, -alpha); norm 3 - alpha always fails the
     # decrease test and is lowest at the full step.
     ev = CountingEvaluator(lambda point: np.array([3.0 + point[0], 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, b)
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     trials = expected_trial_alphas()
     assert len(trials) == 14  # enumerated independently above
     assert ev.count == len(trials)
@@ -304,15 +327,15 @@ def test_backtrack_floor_counts_and_argmin():
 
 
 def test_backtrack_floor_tie_keeps_larger_alpha():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([3.0, 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, b)
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert not ok
     assert alpha == 1.0
 
 
 def test_backtrack_failed_trial_is_skipped():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
 
     def fn(point):
         if point[0] == -1.0:
@@ -320,33 +343,51 @@ def test_backtrack_failed_trial_is_skipped():
         return np.array([0.1, 0.0])
 
     alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
-                                 r_old, b)
+                                 r_old, slope)
     assert (alpha, ok) == (0.5, True)
 
 
 def test_backtrack_all_trials_failing_propagates():
-    beta, p, r_old, b = _search_setup()
+    beta, p, r_old, slope = _search_setup()
 
     def fn(point):
         raise EvaluatorFailure("dead", category="process_died")
 
     with pytest.raises(EvaluatorFailure) as err:
-        backtrack(beta, p, SolverConfig(), fn, r_old, b)
+        backtrack(beta, p, SolverConfig(), fn, r_old, slope)
     assert err.value.category == "process_died"
+
+
+def test_backtrack_overflowing_trial_norm_is_rejected_silently():
+    beta, p, r_old, slope = _search_setup()
+    huge = np.array([1e200, 1e200])  # finite, but its squared norm overflows
+    with pytest.warns(RuntimeWarning):
+        assert weighted_norm(huge) == np.inf
+
+    def fn(point):
+        return huge if point[0] == -1.0 else np.array([0.1, 0.0])
+
+    for weights in (None, np.ones(2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
+                                         r_old, slope, weights)
+        assert (alpha, ok) == (0.5, True)
+        assert np.array_equal(r_new, [0.1, 0.0])
 
 
 def test_backtrack_starts_from_constrained_alpha():
     beta = Parameters([0.5], lower=[0.0], upper=[1.0])
     p = np.array([10.0])
     r_old = np.array([1.0])
-    b = -np.eye(1)  # slope -10: descent
+    slope = -10.0  # B = -I: gradient -1, projected on p; descent
     seen = []
 
     def fn(point):
         seen.append(point[0])
         return np.array([0.0])
 
-    alpha, _, ok = backtrack(beta, p, SolverConfig(), fn, r_old, b)
+    alpha, _, ok = backtrack(beta, p, SolverConfig(), fn, r_old, slope)
     assert ok and alpha == pytest.approx(0.025)
     assert seen[0] == pytest.approx(0.75)  # half-way point, never beyond
 

@@ -14,6 +14,7 @@ from broydenfit import (
     optimize,
     optimize_with_state,
 )
+from broydenfit import core
 from broydenfit.core import LAMBDA_CAP
 from broydenfit.models import Dataset
 
@@ -159,6 +160,71 @@ def test_state_secant_pair_is_absorbed():
     num = np.linalg.norm((state.broyden - jac) @ state.last_step)
     den = np.linalg.norm(jac @ state.last_step)
     assert num / den <= 1e-6
+
+
+def _multi_block_linear_problem():
+    # m = 20000 rows and n = 8 parameters: the in-place secant update runs
+    # over 65536 // 8 = 8192-row blocks, so three of them.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (20000, 7))
+    beta = rng.choice([-1.0, 1.0], 8)
+    y = beta[0] + x @ beta[1:] + 0.1 * rng.standard_normal(20000)
+    return DatasetEvaluator(LinearModel(), Dataset(x=x, y=y))
+
+
+def test_multi_block_trajectories_are_bitwise_reproducible():
+    ev = _multi_block_linear_problem()
+    report = optimize(ev, n_params=8)
+    assert report.status is RunStatus.Converged
+    assert report == optimize(ev, n_params=8, weights=np.ones(20000))
+    with_state, state = optimize_with_state(ev, n_params=8)
+    assert report == with_state
+    lhs = state.broyden @ state.last_step
+    assert np.allclose(lhs, state.last_residual_change, rtol=0, atol=1e-9)
+
+
+def test_only_optimize_with_state_folds_the_final_pair(monkeypatch):
+    calls = []
+    update = core.broyden_update
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(core, "broyden_update", counted)
+    ev = DatasetEvaluator(LinearModel(), linear_dataset())
+    report = optimize(ev, n_params=2)
+    plain = len(calls)
+    assert plain == len(report.iterations)
+    optimize_with_state(ev, n_params=2)
+    assert len(calls) - plain == plain + 1
+
+
+@pytest.mark.parametrize("weights", [None, np.array([0.5, 2.0, 1.5])])
+def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
+    # optimize hands backtrack -(rhs @ p); it must equal (B^T W r) @ p to
+    # the bit, and be negative (a descent direction).
+    assembled, slopes = [], []
+    assemble, search = core.assemble_lm_system, core.backtrack
+
+    def spy_assemble(b, r, lam, w=None):
+        assembled.append((b.copy(), r.copy()))
+        return assemble(b, r, lam, w)
+
+    def spy_search(beta, p, config, evaluate, r_old, slope, w=None):
+        b, r = assembled[-1]
+        wr = r if w is None else w * r
+        assert np.array_equal(r_old, r)
+        slopes.append(slope)
+        assert slope == float((b.T @ wr) @ p)
+        return search(beta, p, config, evaluate, r_old, slope, w)
+
+    monkeypatch.setattr(core, "assemble_lm_system", spy_assemble)
+    monkeypatch.setattr(core, "backtrack", spy_search)
+    ev = DatasetEvaluator(LinearModel(), linear_dataset())
+    report = optimize(ev, n_params=2, weights=weights)
+    assert report.status is RunStatus.Converged
+    assert slopes and all(slope < 0 for slope in slopes)
 
 
 def test_fd_refresh_converges_and_leaves_fd_matrix():
