@@ -18,7 +18,6 @@ from .core import (
     broyden_update,
     check_convergence,
     constrain_step,
-    lm_step,
     max_relative_change,
     objective_value,
     optimize,
@@ -85,7 +84,6 @@ __all__ = [
     "constrain_step",
     "external_evaluate",
     "fd_jacobian",
-    "lm_step",
     "make_model",
     "max_relative_change",
     "objective_value",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg.blas
 
 from . import fdiff, linalg
 from .errors import ConfigError, EvaluatorFailure, SingularSystem, StagnantStep
@@ -33,8 +34,9 @@ LAMBDA_CAP = 1e12
 # Squared step norms below this are treated as stagnation in the secant update.
 STAGNANT_SNORM2 = 1e-30
 
-# Elements per row block of the secant update's scratch buffer (512 KB of float64).
-_UPDATE_BLOCK_ELEMENTS = 65536
+# The driver updates B^T W B along with B, and recomputes it exactly after
+# this many secant updates to bound its round-off drift.
+GRAM_RECOMPUTE_PERIOD = 10
 
 ResidualEvaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -292,25 +294,26 @@ def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
 
 
 def broyden_update(
-    b: np.ndarray, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
+    b: np.ndarray, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
+    gram: np.ndarray | None = None, weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rank-one secant update: B + u s^T with u = (t - B s) / ||s||^2.
 
     The result maps the step ``s`` to the observed residual change ``t``
-    exactly (up to round-off).  It is written to ``out`` and returned;
-    ``out`` has ``b``'s shape and may be ``b`` itself for an in-place
-    update.  Without ``out`` a new matrix is returned and ``b`` is left
-    untouched.
+    exactly (up to round-off).  It is written to ``out`` (C-contiguous
+    float64, possibly ``b`` itself) or else to a new matrix, and returned.
+    BLAS ``dger`` adds ``u s^T`` with fused multiply-adds, so the result is
+    within an ulp or two of ``b + np.outer(u, s)``, not equal to it.
 
-    ``u s^T`` is never formed in full: it is added ``_UPDATE_BLOCK_ELEMENTS
-    // n`` rows at a time through one scratch buffer.  The products and sums
-    are those of ``b + np.outer(u, s)``, so the result agrees with it bit
-    for bit.
+    A ``gram`` holding ``B^T W B`` (``W = diag(weights)``, or the identity)
+    is updated in place to the new matrix's product,
+    ``gram + (v s^T + s v^T) + (u^T W u) s s^T`` with ``v = B^T W u``;
+    summing the symmetric pair first keeps ``gram`` exactly symmetric.
 
     Raises:
         StagnantStep: when ``||s||^2`` is below ``STAGNANT_SNORM2``;
             dividing by it would amplify noise rather than add information.
-            ``out`` is not modified then.
+            Neither ``out`` nor ``gram`` is modified then.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -319,56 +322,51 @@ def broyden_update(
         raise StagnantStep(f"squared step norm {snorm2:.3e} below {STAGNANT_SNORM2:.0e}")
     u = (t - b @ s) / snorm2
     if out is None:
-        out = np.empty(b.shape)
-    m = u.size
-    rows = max(1, _UPDATE_BLOCK_ELEMENTS // s.size)
-    scratch = np.empty((min(rows, m), s.size))
-    for i in range(0, m, rows):
-        j = min(i + rows, m)
-        block = scratch[: j - i]
-        np.multiply(u[i:j, None], s, out=block)
-        np.add(b[i:j], block, out=out[i:j])
+        out = np.array(b, dtype=float, order="C")
+    elif not out.flags.c_contiguous or out.dtype != np.float64:
+        raise ValueError("out must be a C-contiguous float64 array")
+    elif out is not b:
+        out[...] = b
+    if gram is not None:
+        wu = u if weights is None else weights * u
+        vs = np.outer(b.T @ wu, s)
+        gram += vs + vs.T
+        gram += float(u @ wu) * np.outer(s, s)
+    # out.T is Fortran-ordered, so dger adds s u^T to it in place.
+    scipy.linalg.blas.dger(1.0, s, u, a=out.T, overwrite_a=1)
     return out
 
 
+def gram_matrix(b: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """``B^T W B`` computed afresh, exactly symmetric.  Factoring through
+    ``sqrt(w)`` keeps the weighted product on the symmetric-multiply path of
+    the unweighted one, so unit weights reproduce it bit for bit."""
+    if weights is not None:
+        b = np.sqrt(weights)[:, None] * b
+    return b.T @ b
+
+
 def assemble_lm_system(
-    b: np.ndarray,
-    r: np.ndarray,
-    lam: float,
-    weights: np.ndarray | None = None,
+    b: np.ndarray, r: np.ndarray, lam: float, weights: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped normal equations for the direction solve.
 
     Unweighted: ``(B^T B + lam * diag(B^T B)) p = -B^T r``; with weights the
     Gram matrix and right-hand side take ``B^T W B`` and ``-B^T W r`` forms.
+    ``gram`` is ``B^T W B`` when the caller maintains it; otherwise it is
+    computed by :func:`gram_matrix`.
     """
     if lam < 0:
         raise ConfigError(f"damping factor must be non-negative, got {lam}", key="lambda")
-    if weights is None:
-        gram = b.T @ b
-        rhs = -(b.T @ r)
-    else:
-        # Factoring through sqrt(w) keeps the Gram product on the same
-        # symmetric-multiply code path as the unweighted branch, so unit
-        # weights reproduce it bit for bit.
-        w = np.asarray(weights, dtype=float)
-        wb = np.sqrt(w)[:, None] * b
-        gram = wb.T @ wb
-        rhs = -(b.T @ (w * r))
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if gram is None:
+        gram = gram_matrix(b, w)
+    rhs = -(b.T @ (r if w is None else w * r))
     a = gram.copy()
     idx = np.diag_indices_from(a)
     a[idx] += lam * gram[idx]
     return a, rhs
-
-
-def lm_step(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the assembled system for the direction vector.
-
-    Raises:
-        SingularSystem: rank-deficient system; the driver reacts by raising
-            the damping factor and re-assembling.
-    """
-    return linalg.solve(a, rhs)
 
 
 def constrain_step(beta: Parameters, p: np.ndarray, alpha: float = 1.0) -> float:
@@ -652,6 +650,8 @@ def _optimize(
     w = _resolve_weights(weights, m)
 
     b = np.eye(m, n)
+    # B^T W B of b (None: recompute it), and the updates folded into it since.
+    gram, since_exact = None, 0
     pending: tuple[np.ndarray, np.ndarray] | None = (
         perturbed.values - beta.values,
         r_pert - r,
@@ -672,20 +672,27 @@ def _optimize(
             except EvaluatorFailure as exc:
                 status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
                 break
+            gram = None
         elif pending is not None:
+            if since_exact == GRAM_RECOMPUTE_PERIOD - 1:
+                gram = None  # recomputed below instead of updated
             try:
                 # b is private to this run (np.eye or fd_jacobian): update in place.
-                broyden_update(b, *pending, out=b)
+                broyden_update(b, *pending, out=b, gram=gram, weights=w)
                 state.last_step, state.last_residual_change = pending
+                since_exact += 1
             except StagnantStep as exc:
                 logger.warning("iteration %d: secant update skipped (%s)", k, exc)
         pending = None
+        if gram is None:
+            gram, since_exact = gram_matrix(b, w), 0
 
         # Solve for the direction, escalating the damping on rank deficiency.
         while True:
-            a, rhs = assemble_lm_system(b, r, lam, w)
+            a, rhs = assemble_lm_system(b, r, lam, w, gram)
             try:
-                p = lm_step(a, rhs)
+                p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
+                           else (linalg.solve(a, rhs), None))
                 break
             except SingularSystem as exc:
                 if lam >= LAMBDA_CAP:
@@ -696,8 +703,6 @@ def _optimize(
                 lam = update_lambda(lam, accepted=False, config=config)
         if status is RunStatus.LineSearchFloor:
             break
-
-        cond = linalg.condition_estimate(a) if diagnostics else None
 
         if not np.any(p):
             # Exact stationary point of the local model: nothing to try.

@@ -141,7 +141,7 @@ class ExternalEvaluator:
 
     def _fail(self, message: str, category: str):
         self._dead = message
-        self.close()
+        self.close(grace=0.0)
         raise EvaluatorFailure(message, category=category)
 
     def __call__(self, beta) -> np.ndarray:
@@ -184,17 +184,17 @@ class ExternalEvaluator:
             )
         return residuals
 
-    def close(self):
+    def close(self, grace: float = 2.0):
+        """Close the child's input; kill it if it is still up after ``grace`` s."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        for stream in (proc.stdin,):
-            try:
-                stream.close()
-            except OSError:
-                pass
         try:
-            proc.wait(timeout=2.0)
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

@@ -1,19 +1,17 @@
 """Dense symmetric linear solves for the damped normal equations.
 
-The systems produced by the step assembly are small (n x n, with n the
-parameter count), symmetric, and positive semi-definite plus damping, so a
-pivoted LU factorization is ample.  What callers rely on is the contract,
-not the factorization: a solution with a small relative residual for
-well-conditioned inputs, and a :class:`SingularSystem` signal instead of a
-garbage solution when a pivot collapses.
-"""
+The n x n systems from the step assembly are symmetric, positive
+semi-definite plus damping, and small.  LAPACK's pivoted LU (``dgetrf``,
+called directly) factors each once; the solve (``dgetrs``) and the optional
+condition estimate (``dgecon``) reuse the factor.  LU rather than Cholesky
+keeps scaled-identity systems exact.  Callers rely on a small relative
+residual for well-conditioned inputs, and on :class:`SingularSystem` instead
+of a garbage solution when a pivot collapses."""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import SingularSystem
 
@@ -21,54 +19,53 @@ from .errors import SingularSystem
 PIVOT_RTOL = 1e-14
 
 
-def _factor(a: np.ndarray):
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU-factor ``a``, raising SingularSystem on a collapsed pivot."""
-    a = np.asarray(a, dtype=float)
+    a = np.asarray_chkfinite(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    with warnings.catch_warnings():
-        # getrf flags exact zero pivots with a warning; the threshold check
-        # below subsumes it.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    largest = pivots.max() if pivots.size else 0.0
-    if largest == 0.0 or pivots.min() < PIVOT_RTOL * largest:
+    # An exact zero pivot (info > 0) fails the threshold check below.
+    lu, piv, _ = lapack.dgetrf(a)
+    pivots = np.abs(lu.diagonal()).tolist()
+    largest = max(pivots, default=0.0)
+    if largest == 0.0 or min(pivots) < PIVOT_RTOL * largest:
         raise SingularSystem(
-            f"pivot ratio {0.0 if largest == 0.0 else pivots.min() / largest:.3e} "
+            f"pivot ratio {0.0 if largest == 0.0 else min(pivots) / largest:.3e} "
             f"below {PIVOT_RTOL:.0e}"
         )
     return lu, piv
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _condition(a: np.ndarray, lu: np.ndarray) -> float:
+    rcond, _ = lapack.dgecon(lu, np.abs(a).sum(axis=0).max(), norm="1")
+    return float("inf") if rcond == 0.0 else 1.0 / rcond
+
+
+def solve(a: np.ndarray, b: np.ndarray, condition: bool = False):
     """Solve ``a @ x = b`` for symmetric ``a``.
+
+    Returns ``x``, or ``(x, cond)`` with ``condition=True``, where ``cond``
+    is :func:`condition_estimate` taken from the same factor.
 
     Raises:
         SingularSystem: if a pivot falls below ``PIVOT_RTOL`` times the
             largest pivot magnitude (numerically rank deficient).
     """
-    b = np.asarray(b, dtype=float)
     lu, piv = _factor(a)
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    if not np.all(np.isfinite(x)):
+    x, _ = lapack.dgetrs(lu, piv, np.asarray_chkfinite(b, dtype=float))
+    if not np.isfinite(x).all():
         raise SingularSystem("solution overflowed; system effectively singular")
-    return x
+    return (x, _condition(a, lu)) if condition else x
 
 
 def condition_estimate(a: np.ndarray) -> float:
     """1-norm condition number of ``a``; ``inf`` when singular.
 
-    Computed as ||a||_1 * ||a^-1||_1 from the LU factors, which is exact up
-    to round-off and therefore comfortably within the factor-of-n accuracy
-    the diagnostics need.
+    LAPACK's ``dgecon`` estimate of ||a||_1 * ||a^-1||_1 from the LU factor:
+    at most the true value (up to round-off), and usually equal to it.
     """
-    a = np.asarray(a, dtype=float)
     try:
-        lu, piv = _factor(a)
+        lu, _ = _factor(a)
     except SingularSystem:
         return float("inf")
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]))
-    anorm = np.abs(a).sum(axis=0).max()
-    invnorm = np.abs(inv).sum(axis=0).max()
-    return float(anorm * invnorm)
+    return _condition(a, lu)

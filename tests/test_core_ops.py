@@ -17,12 +17,13 @@ from broydenfit import (
     broyden_update,
     check_convergence,
     constrain_step,
-    lm_step,
     objective_value,
     perturb_initial,
     update_lambda,
     weighted_norm,
 )
+from broydenfit.core import GRAM_RECOMPUTE_PERIOD, gram_matrix
+from broydenfit.linalg import solve
 
 from conftest import CountingEvaluator
 
@@ -128,22 +129,56 @@ def test_broyden_secant_condition_randomized():
         assert lhs <= bound
 
 
-@pytest.mark.parametrize("m, n", [(200000, 20), (800, 200), (1, 1)])
-def test_broyden_blocked_update_bitwise_equal_to_outer_product(m, n):
-    # 200000 x 20 and 800 x 200 span several row blocks.
+def _random_pair(m, n):
     rng = np.random.default_rng(m + n)
-    b = rng.standard_normal((m, n))
-    s = rng.standard_normal(n)
-    t = rng.standard_normal(m)
-    expected = b + np.outer((t - b @ s) / float(s @ s), s)
+    return rng.standard_normal((m, n)), rng.standard_normal(n), rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("m, n", [(200000, 20), (800, 200), (1, 1)])
+def test_broyden_update_within_ulps_of_outer_product(m, n):
+    # BLAS dger fuses each multiply-add, so it may differ from the two
+    # roundings of b + outer(u, s) by an ulp of either term.
+    b, s, t = _random_pair(m, n)
+    outer = np.outer((t - b @ s) / float(s @ s), s)
+    expected = b + outer
     before = b.copy()
-    assert np.array_equal(broyden_update(b, s, t), expected)
+    got = broyden_update(b, s, t)
     assert np.array_equal(b, before)  # without out, the input is untouched
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - expected) <= 2 * eps * (np.abs(b) + np.abs(outer)))
+
+
+@pytest.mark.parametrize("m, n", [(800, 200), (1, 1)])
+def test_broyden_update_out_is_written_in_place(m, n):
+    b, s, t = _random_pair(m, n)
+    expected = broyden_update(b, s, t)
     b2 = np.empty_like(b)
     assert broyden_update(b, s, t, out=b2) is b2
     assert np.array_equal(b2, expected)
     assert broyden_update(b, s, t, out=b) is b
     assert np.array_equal(b, expected)
+
+
+@pytest.mark.parametrize("weights", [None, "random"])
+def test_incremental_gram_drift_is_bounded(weights):
+    # After GRAM_RECOMPUTE_PERIOD - 1 updates (the most the driver folds in
+    # before recomputing), the maintained B^T W B stays within
+    # 8 * (k - 1) * eps * ||sqrt(W) B||_2^2 of a fresh product, elementwise,
+    # with the norm taken at its largest over the updates.
+    m, n = 2000, 20
+    rng = np.random.default_rng(17)
+    w = None if weights is None else rng.uniform(0.5, 2.0, size=m)
+    b = rng.standard_normal((m, n))
+    gram = gram_matrix(b, w)
+    scale = np.linalg.norm(gram, 2)
+    updates = GRAM_RECOMPUTE_PERIOD - 1
+    for _ in range(updates):
+        s = rng.standard_normal(n)
+        broyden_update(b, s, rng.standard_normal(m), out=b, gram=gram, weights=w)
+        scale = max(scale, np.linalg.norm(gram_matrix(b, w), 2))
+    assert np.array_equal(gram, gram.T)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(gram - gram_matrix(b, w))) <= 8 * updates * eps * scale
 
 
 def test_broyden_stagnant_step():
@@ -196,22 +231,22 @@ def test_assemble_rejects_negative_damping():
 
 
 def test_lm_step_identity():
-    assert np.array_equal(lm_step(np.eye(2), np.array([-1.0, -1.0])), [-1.0, -1.0])
+    assert np.array_equal(solve(np.eye(2), np.array([-1.0, -1.0])), [-1.0, -1.0])
 
 
 def test_lm_step_scaled_identity():
-    p = lm_step(2 * np.eye(2), np.array([-1.0, -1.0]))
+    p = solve(2 * np.eye(2), np.array([-1.0, -1.0]))
     assert np.allclose(p, [-0.5, -0.5], rtol=0, atol=1e-16)
 
 
 def test_lm_step_scalar():
-    p = lm_step(np.array([[5.0]]), np.array([-3.0]))
+    p = solve(np.array([[5.0]]), np.array([-3.0]))
     assert p[0] == pytest.approx(-0.6, abs=1e-16)
 
 
 def test_lm_step_singular_signal():
     with pytest.raises(SingularSystem):
-        lm_step(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
 
 # --- feasible-step constraint -----------------------------------------------

@@ -12,11 +12,11 @@ from broydenfit import (
     SolverConfig,
     assemble_lm_system,
     broyden_update,
-    lm_step,
     optimize,
     perturb_initial,
     weighted_norm,
 )
+from broydenfit.linalg import solve
 
 from conftest import analytic_jacobian, corpus, linear_dataset
 
@@ -63,7 +63,7 @@ def test_gradient_descent_limit():
             continue
         kept += 1
         a, rhs = assemble_lm_system(b, r, lam)
-        p = lm_step(a, rhs)
+        p = solve(a, rhs)
         expected = -g / (lam * np.diag(gram))
         assert np.max(np.abs(p - expected) / np.abs(expected)) < 1e-6
 
@@ -75,7 +75,7 @@ def test_gauss_newton_limit_one_step_exact():
     jac = analytic_jacobian(model, data, beta)
     r = DatasetEvaluator(model, data)(beta)
     a, rhs = assemble_lm_system(jac, r, 0.0)
-    step = lm_step(a, rhs)
+    step = solve(a, rhs)
     target, *_ = np.linalg.lstsq(
         np.column_stack([np.ones(data.m), data.x[:, 0]]), data.y, rcond=None
     )
@@ -87,10 +87,10 @@ def test_residual_scaling_scales_direction():
     b = rng.standard_normal((6, 3))
     r = rng.standard_normal(6)
     a0, rhs0 = assemble_lm_system(b, r, 0.05)
-    p0 = lm_step(a0, rhs0)
+    p0 = solve(a0, rhs0)
     for gamma in (2.0, 3.7):
         a1, rhs1 = assemble_lm_system(b, gamma * r, 0.05)
-        p1 = lm_step(a1, rhs1)
+        p1 = solve(a1, rhs1)
         if gamma == 2.0:
             assert np.array_equal(p1, gamma * p0)  # exact power-of-two scaling
         else:
@@ -119,8 +119,8 @@ def test_doubling_weights_leaves_direction_unchanged():
     b = rng.standard_normal((7, 3))
     r = rng.standard_normal(7)
     w = rng.uniform(0.5, 4.0, size=7)
-    p1 = lm_step(*assemble_lm_system(b, r, 0.3, w))
-    p2 = lm_step(*assemble_lm_system(b, r, 0.3, 2.0 * w))
+    p1 = solve(*assemble_lm_system(b, r, 0.3, w))
+    p2 = solve(*assemble_lm_system(b, r, 0.3, 2.0 * w))
     assert np.allclose(p2, p1, rtol=1e-12, atol=0)
 
 

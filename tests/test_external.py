@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_timeout_is_categorized():
         with pytest.raises(EvaluatorFailure) as err:
             ev(np.array([1.0]))
         assert err.value.category == "timeout"
+
+
+def test_timed_out_child_is_killed_at_once():
+    # Only a normal close() waits for the child to exit; a timeout kills it.
+    with ExternalEvaluator(child(SLEEP_CHILD, timeout=0.3)) as ev:
+        start = time.perf_counter()
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        elapsed = time.perf_counter() - start
+        assert err.value.category == "timeout"
+    assert elapsed < 1.0
 
 
 def test_garbage_line_is_malformed():

@@ -14,7 +14,7 @@ from broydenfit import (
     optimize,
     optimize_with_state,
 )
-from broydenfit import core
+from broydenfit import core, fdiff
 from broydenfit.core import LAMBDA_CAP
 from broydenfit.models import Dataset
 
@@ -163,8 +163,8 @@ def test_state_secant_pair_is_absorbed():
 
 
 def _multi_block_linear_problem():
-    # m = 20000 rows and n = 8 parameters: the in-place secant update runs
-    # over 65536 // 8 = 8192-row blocks, so three of them.
+    # m = 20000 rows and n = 8 parameters; the fit takes 15 iterations, so
+    # the driver both updates its Gram matrix and recomputes it.
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.0, 1.0, (20000, 7))
     beta = rng.choice([-1.0, 1.0], 8)
@@ -207,9 +207,9 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
     assembled, slopes = [], []
     assemble, search = core.assemble_lm_system, core.backtrack
 
-    def spy_assemble(b, r, lam, w=None):
+    def spy_assemble(b, r, lam, w=None, gram=None):
         assembled.append((b.copy(), r.copy()))
-        return assemble(b, r, lam, w)
+        return assemble(b, r, lam, w, gram)
 
     def spy_search(beta, p, config, evaluate, r_old, slope, w=None):
         b, r = assembled[-1]
@@ -225,6 +225,46 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
     report = optimize(ev, n_params=2, weights=weights)
     assert report.status is RunStatus.Converged
     assert slopes and all(slope < 0 for slope in slopes)
+
+
+@pytest.mark.parametrize("weights", [None, np.linspace(0.5, 2.0, 12)])
+def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
+    # The driver recomputes B^T W B at the start, after each FD refresh and
+    # after every GRAM_RECOMPUTE_PERIOD-th secant update since then; there
+    # the system it assembles equals the one assembled from B alone, bit for
+    # bit.  "since" counts the updates made after the last such point; the
+    # first one is computed after the bootstrap pair's update.
+    since, checked = [-1], []
+    assemble, update, fd = core.assemble_lm_system, core.broyden_update, fdiff.fd_jacobian
+
+    def spy_fd(*args, **kwargs):
+        since[0] = 0
+        return fd(*args, **kwargs)
+
+    def spy_update(*args, **kwargs):
+        out = update(*args, **kwargs)
+        since[0] += 1
+        return out
+
+    def spy_assemble(b, r, lam, w=None, gram=None):
+        out = assemble(b, r, lam, w, gram)
+        if since[0] % core.GRAM_RECOMPUTE_PERIOD == 0:
+            exact = assemble(b, r, lam, w)
+            checked.append((since[0], all(np.array_equal(x, y)
+                                          for x, y in zip(out, exact))))
+        return out
+
+    monkeypatch.setattr(fdiff, "fd_jacobian", spy_fd)
+    monkeypatch.setattr(core, "broyden_update", spy_update)
+    monkeypatch.setattr(core, "assemble_lm_system", spy_assemble)
+    x = np.linspace(-1.0, 2.0, 12)
+    data = Dataset(x=x, y=np.exp(0.7 * x) + 0.1 * x**3)
+    ev = DatasetEvaluator(PolynomialModel(degree=4), data)
+    config = SolverConfig(fd_refresh_period=15, epsilon=1e-12, max_iterations=30)
+    report = optimize(ev, n_params=5, config=config, weights=weights)
+    assert len(report.iterations) == 30
+    assert {n for n, _ in checked} == {0, core.GRAM_RECOMPUTE_PERIOD}
+    assert all(exact for _, exact in checked)
 
 
 def test_fd_refresh_converges_and_leaves_fd_matrix():
