@@ -3,6 +3,10 @@
 Levenberg-Marquardt style damped steps with a Broyden (rank-one secant)
 approximation of the residual Jacobian and an Armijo-backtracked line
 search; only black-box residual evaluations are required of the model.
+
+The names below are the public API that the README documents.  Solver
+internals stay importable from their modules (``broydenfit.core``,
+``broydenfit.linalg``, ``broydenfit.fdiff``, ``broydenfit.external``).
 """
 
 from .core import (
@@ -12,30 +16,12 @@ from .core import (
     RunStatus,
     SolverConfig,
     SolverState,
-    armijo_holds,
-    assemble_lm_system,
-    backtrack,
-    broyden_update,
-    check_convergence,
-    constrain_step,
-    max_relative_change,
-    objective_value,
     optimize,
     optimize_with_state,
-    perturb_initial,
-    update_lambda,
-    weighted_norm,
 )
-from .errors import (
-    BroydenFitError,
-    ConfigError,
-    EvaluatorFailure,
-    ParseError,
-    SingularSystem,
-    StagnantStep,
-)
-from .external import ExternalEvaluator, ExternalEvaluatorSpec, external_evaluate, serve
-from .fdiff import FdConfig, brute_force_minimum, fd_jacobian
+from .errors import BroydenFitError, ConfigError, EvaluatorFailure, ParseError
+from .external import ExternalEvaluator, ExternalEvaluatorSpec
+from .fdiff import FdConfig
 from .models import (
     AnalyticModel,
     Dataset,
@@ -46,7 +32,6 @@ from .models import (
     LogisticModel,
     PolynomialModel,
     make_model,
-    residuals_from_dataset,
 )
 
 __version__ = "0.1.0"
@@ -71,27 +56,9 @@ __all__ = [
     "PolynomialModel",
     "RunReport",
     "RunStatus",
-    "SingularSystem",
     "SolverConfig",
     "SolverState",
-    "StagnantStep",
-    "armijo_holds",
-    "assemble_lm_system",
-    "backtrack",
-    "broyden_update",
-    "brute_force_minimum",
-    "check_convergence",
-    "constrain_step",
-    "external_evaluate",
-    "fd_jacobian",
     "make_model",
-    "max_relative_change",
-    "objective_value",
     "optimize",
     "optimize_with_state",
-    "perturb_initial",
-    "residuals_from_dataset",
-    "serve",
-    "update_lambda",
-    "weighted_norm",
 ]

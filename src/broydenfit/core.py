@@ -23,7 +23,13 @@ import numpy as np
 import scipy.linalg.blas
 
 from . import fdiff, linalg
-from .errors import ConfigError, EvaluatorFailure, SingularSystem, StagnantStep
+from .errors import (
+    ConfigError,
+    EvaluatorFailure,
+    SingularSystem,
+    StagnantStep,
+    check_residuals,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +62,10 @@ def _as_bound(bound, n: int, default: float) -> np.ndarray:
 class Parameters:
     """Parameter vector with optional per-coordinate box bounds.
 
-    ``lower``/``upper`` use -inf/+inf for unbounded sides.  Instances are
-    validated on construction: finite values inside non-degenerate bounds.
+    ``lower``/``upper`` use -inf/+inf for unbounded sides.  Construction
+    validates the bounds (non-degenerate, not NaN) and then the values:
+    finite and inside the bounds.  :meth:`with_values` keeps the validated
+    bounds and checks only the new values.
     """
 
     values: np.ndarray
@@ -65,35 +73,44 @@ class Parameters:
     upper: np.ndarray
 
     def __init__(self, values, lower=None, upper=None):
-        values = np.atleast_1d(np.asarray(values, dtype=float)).copy()
-        if values.ndim != 1 or values.size < 1:
-            raise ConfigError("parameter vector must be 1-D and non-empty", key="beta0")
-        n = values.size
+        n = np.size(values)
         lo = _as_bound(lower, n, -np.inf)
         hi = _as_bound(upper, n, np.inf)
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("parameter values must be finite", key="beta0")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ConfigError("bounds must not be NaN", key="bounds")
         if np.any(lo >= hi):
             raise ConfigError("each lower bound must be strictly below its upper bound",
                               key="bounds")
-        if np.any(values < lo) or np.any(values > hi):
-            raise ConfigError("initial values violate their bounds", key="beta0")
-        for name, arr in (("values", values), ("lower", lo), ("upper", hi)):
+        for name, arr in (("lower", lo), ("upper", hi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        self._set_values(values)
+
+    def _set_values(self, values) -> None:
+        values = np.atleast_1d(np.array(values, dtype=float))
+        if values.ndim != 1 or values.size < 1:
+            raise ConfigError("parameter vector must be 1-D and non-empty", key="beta0")
+        if values.shape != self.lower.shape:
+            raise ConfigError(f"expected {self.lower.size} parameter values, "
+                              f"got {values.size}", key="beta0")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("parameter values must be finite", key="beta0")
+        if np.any(values < self.lower) or np.any(values > self.upper):
+            raise ConfigError("parameter values violate their bounds", key="beta0")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
         return self.values.size
 
-    @property
-    def bounded(self) -> bool:
-        return bool(np.any(np.isfinite(self.lower)) or np.any(np.isfinite(self.upper)))
-
     def with_values(self, values: np.ndarray) -> "Parameters":
-        return Parameters(values, self.lower, self.upper)
+        """The same bounds at new ``values``, which must lie inside them."""
+        new = object.__new__(Parameters)
+        object.__setattr__(new, "lower", self.lower)
+        object.__setattr__(new, "upper", self.upper)
+        new._set_values(values)
+        return new
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.lower, self.upper)
@@ -378,18 +395,12 @@ def constrain_step(beta: Parameters, p: np.ndarray, alpha: float = 1.0) -> float
     an outward direction contributes no cap (the driver's clip pins it
     there), so the returned value stays positive.
     """
-    cap = float(alpha)
-    for v, lo, hi, pj in zip(beta.values, beta.lower, beta.upper, p):
-        if pj > 0 and np.isfinite(hi):
-            room = 0.5 * (hi - v)
-        elif pj < 0 and np.isfinite(lo):
-            room = 0.5 * (v - lo)
-        else:
-            continue
-        limit = room / abs(pj)
-        if limit > 0:
-            cap = min(cap, limit)
-    return cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # An infinite room (unbounded side) or a 0/0 (on a bound, p_j = 0)
+        # caps nothing: min ignores it or the ``> 0`` mask drops it.
+        limits = 0.5 * np.where(p > 0, beta.upper - beta.values,
+                                beta.values - beta.lower) / np.abs(p)
+        return float(np.min(limits, where=limits > 0, initial=alpha))
 
 
 def armijo_holds(
@@ -507,25 +518,8 @@ class _CountingEvaluator:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         self.count += 1
-        out = self.fn(np.array(values, dtype=float))
-        r = np.asarray(out, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise EvaluatorFailure(
-                f"evaluator must return a 1-D residual vector, got shape {r.shape}",
-                category="evaluation",
-            )
-        if self.m is None:
-            self.m = r.size
-        elif r.size != self.m:
-            raise EvaluatorFailure(
-                f"residual length changed from {self.m} to {r.size}",
-                category="length_changed",
-            )
-        if not np.all(np.isfinite(r)):
-            bad = int(np.flatnonzero(~np.isfinite(r))[0])
-            raise EvaluatorFailure(
-                f"non-finite residual at index {bad}", category="non_finite"
-            )
+        r = np.asarray(self.fn(np.array(values, dtype=float)), dtype=float)
+        self.m = check_residuals(r, self.m)
         return r
 
 

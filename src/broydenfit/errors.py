@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the residual contract."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class BroydenFitError(Exception):
@@ -46,6 +48,28 @@ class EvaluatorFailure(BroydenFitError):
     def __init__(self, message: str, category: str = "evaluation"):
         super().__init__(message)
         self.category = category
+
+
+def check_residuals(r: np.ndarray, m: int | None) -> int:
+    """Check one residual vector from a model and return its length.
+
+    ``r`` must be 1-D and non-empty, have the length ``m`` of the first
+    response (``None`` before it), and hold only finite entries; otherwise
+    :class:`EvaluatorFailure` is raised with the category named in its table.
+    """
+    if r.ndim != 1 or r.size == 0:
+        raise EvaluatorFailure(
+            f"evaluator must return a 1-D residual vector, got shape {r.shape}",
+            category="evaluation",
+        )
+    if m is not None and r.size != m:
+        raise EvaluatorFailure(
+            f"residual length changed from {m} to {r.size}", category="length_changed"
+        )
+    if not np.all(np.isfinite(r)):
+        bad = int(np.flatnonzero(~np.isfinite(r))[0])
+        raise EvaluatorFailure(f"non-finite residual at index {bad}", category="non_finite")
+    return r.size
 
 
 class SingularSystem(BroydenFitError):

@@ -22,13 +22,17 @@ import math
 import queue
 import subprocess
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure
+from .errors import ConfigError, EvaluatorFailure, check_residuals
 
 PROTOCOL_VERSION = 1
+
+# How long close() waits for the reader thread to see the exited child's EOF.
+READER_JOIN_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,7 @@ class ExternalEvaluator:
     def __init__(self, spec: ExternalEvaluatorSpec):
         self.spec = spec
         self._proc: subprocess.Popen | None = None
+        self._reader: threading.Thread | None = None
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
         self._m: int | None = None
@@ -131,12 +136,16 @@ class ExternalEvaluator:
             self._dead = f"could not start {self.spec.command[0]!r}: {exc}"
             raise EvaluatorFailure(self._dead, category="spawn") from exc
         # Reader thread decouples blocking pipe reads from the timeout logic.
-        threading.Thread(target=self._pump, args=(self._proc.stdout,),
-                         daemon=True).start()
+        self._reader = threading.Thread(target=self._pump, args=(self._proc.stdout,),
+                                        daemon=True)
+        self._reader.start()
 
     def _pump(self, stream):
-        for line in stream:
-            self._lines.put(line)
+        # The reader owns the stream and closes it at end of file: closing it
+        # from another thread would block behind a pending read.
+        with stream:
+            for line in stream:
+                self._lines.put(line)
         self._lines.put(None)
 
     def _fail(self, message: str, category: str):
@@ -170,22 +179,15 @@ class ExternalEvaluator:
             self._fail("evaluator process exited before responding",
                        category="process_died")
         residuals = _decode_response(line, req_id)
-        if self._m is None:
-            self._m = residuals.size
-        elif residuals.size != self._m:
-            raise EvaluatorFailure(
-                f"residual length changed from {self._m} to {residuals.size}",
-                category="length_changed",
-            )
-        if not np.all(np.isfinite(residuals)):
-            bad = int(np.flatnonzero(~np.isfinite(residuals))[0])
-            raise EvaluatorFailure(
-                f"non-finite residual at index {bad}", category="non_finite"
-            )
+        self._m = check_residuals(residuals, self._m)
         return residuals
 
     def close(self, grace: float = 2.0):
-        """Close the child's input; kill it if it is still up after ``grace`` s."""
+        """Close the child's input; kill it if it is still up after ``grace`` s.
+
+        Then wait (at most ``READER_JOIN_SECONDS``) for the reader thread to
+        drain and close the child's output.
+        """
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -198,6 +200,7 @@ class ExternalEvaluator:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        self._reader.join(timeout=READER_JOIN_SECONDS)
 
     def __enter__(self) -> "ExternalEvaluator":
         return self
@@ -209,25 +212,14 @@ class ExternalEvaluator:
         self.close()
 
 
-def external_evaluate(spec_or_evaluator, beta) -> np.ndarray:
-    """One-shot convenience: evaluate ``beta`` through the wire protocol.
-
-    Accepts either a spec (a transient evaluator is created and closed) or
-    an existing :class:`ExternalEvaluator`.
-    """
-    if isinstance(spec_or_evaluator, ExternalEvaluator):
-        return spec_or_evaluator(beta)
-    with ExternalEvaluator(spec_or_evaluator) as ev:
-        return ev(beta)
-
-
 def serve(evaluate, stdin, stdout) -> None:
     """Answer protocol requests until standard input closes.
 
     ``evaluate`` maps a parameter array to residuals or raises
-    :class:`EvaluatorFailure`; failures become error responses and serving
-    continues.  Malformed request lines get an error response echoing the
-    id when one can be parsed, -1 otherwise.
+    :class:`EvaluatorFailure`; failures, and any other exception the model
+    raises, become error responses (the latter with a traceback on standard
+    error) and serving continues.  Malformed request lines get an error
+    response echoing the id when one can be parsed, -1 otherwise.
     """
     for line in stdin:
         line = line.strip()
@@ -257,5 +249,8 @@ def serve(evaluate, stdin, stdout) -> None:
             reply = encode_response(req_id, residuals=residuals)
         except (EvaluatorFailure, ConfigError) as exc:
             reply = encode_response(req_id, error=str(exc))
+        except Exception as exc:  # a model bug must not end the session
+            traceback.print_exc()
+            reply = encode_response(req_id, error=f"{type(exc).__name__}: {exc}")
         stdout.write(reply + "\n")
         stdout.flush()

@@ -1,15 +1,12 @@
-"""Finite-difference Jacobians and a brute-force grid minimizer.
+"""Finite-difference residual Jacobians.
 
-Both exist to check the optimizer from the outside: the Jacobian routine is
-the reference the secant approximation is compared against (and the optional
-periodic refresh source), and the grid search brackets small problems'
-minima for test assertions.  Everything here works on plain arrays and a
-residual-evaluator callable.
+The Jacobian routine is the reference the secant approximation is compared
+against (``check-jacobian``) and the source of the optional periodic
+refresh.  It works on plain arrays and a residual-evaluator callable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,31 +78,3 @@ def fd_jacobian(
                 f"probe for column {j} failed: {exc}", category=exc.category
             ) from exc
     return np.column_stack(columns)
-
-
-def brute_force_minimum(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    box: Sequence[tuple[float, float]],
-    grid_points: int,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive objective evaluation on a rectangular grid.
-
-    Returns the minimizing node and its objective value (half the sum of
-    squared residuals).  Ties keep the first node in row-major order.  Only
-    meant to bracket minima of tiny problems, hence the dimension guard.
-    """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    n = len(box)
-    if not 1 <= n <= 3:
-        raise ConfigError(f"grid search supports 1..3 parameters, got {n}", key="box")
-    if grid_points < 2:
-        raise ConfigError("need at least 2 grid points per axis", key="grid_points")
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
-    best_node = None
-    best_value = np.inf
-    for node in itertools.product(*axes):
-        r = np.asarray(evaluate(np.asarray(node)), dtype=float)
-        value = 0.5 * float(r @ r)
-        if value < best_value:
-            best_node, best_value = node, value
-    return np.asarray(best_node), best_value

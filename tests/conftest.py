@@ -1,13 +1,25 @@
+import itertools
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import broydenfit
 from broydenfit import (
+    ConfigError,
     Dataset,
     DatasetEvaluator,
     ExponentialDecayModel,
     LinearModel,
     LogisticModel,
     PolynomialModel,
+)
+
+# Child processes (``python -m broydenfit``) import the same copy as the tests.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(broydenfit.__file__).resolve().parents[1])]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
 
 
@@ -34,6 +46,30 @@ def analytic_jacobian(model, data: Dataset, beta: np.ndarray) -> np.ndarray:
     else:
         raise AssertionError(f"no hand-coded Jacobian for {model!r}")
     return -dfdb
+
+
+def brute_force_minimum(evaluate, box, grid_points: int) -> tuple[np.ndarray, float]:
+    """Exhaustive objective evaluation on a rectangular grid.
+
+    Returns the minimizing node and its objective value (half the sum of
+    squared residuals).  Ties keep the first node in row-major order.  Only
+    meant to bracket minima of tiny problems, hence the dimension guard.
+    """
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    n = len(box)
+    if not 1 <= n <= 3:
+        raise ConfigError(f"grid search supports 1..3 parameters, got {n}", key="box")
+    if grid_points < 2:
+        raise ConfigError("need at least 2 grid points per axis", key="grid_points")
+    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
+    best_node = None
+    best_value = np.inf
+    for node in itertools.product(*axes):
+        r = np.asarray(evaluate(np.asarray(node)), dtype=float)
+        value = 0.5 * float(r @ r)
+        if value < best_value:
+            best_node, best_value = node, value
+    return np.asarray(best_node), best_value
 
 
 def linear_dataset() -> Dataset:

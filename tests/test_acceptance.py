@@ -25,20 +25,27 @@ from broydenfit import (
     Parameters,
     RunStatus,
     SolverConfig,
+    optimize,
+)
+from broydenfit.core import (
     assemble_lm_system,
     broyden_update,
-    brute_force_minimum,
     check_convergence,
-    fd_jacobian,
     max_relative_change,
-    optimize,
     perturb_initial,
     weighted_norm,
 )
 from broydenfit.dataio import load_runspec, prepare_run
+from broydenfit.fdiff import fd_jacobian
 from broydenfit.linalg import solve
 
-from conftest import analytic_jacobian, corpus, decay_dataset, linear_dataset
+from conftest import (
+    analytic_jacobian,
+    brute_force_minimum,
+    corpus,
+    decay_dataset,
+    linear_dataset,
+)
 
 
 @contextmanager

@@ -4,25 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from broydenfit import (
-    ConfigError,
-    EvaluatorFailure,
-    Parameters,
-    SingularSystem,
-    SolverConfig,
-    StagnantStep,
+from broydenfit import ConfigError, EvaluatorFailure, Parameters, SolverConfig
+from broydenfit.core import (
+    GRAM_RECOMPUTE_PERIOD,
     armijo_holds,
     assemble_lm_system,
     backtrack,
     broyden_update,
     check_convergence,
     constrain_step,
+    gram_matrix,
     objective_value,
     perturb_initial,
     update_lambda,
     weighted_norm,
 )
-from broydenfit.core import GRAM_RECOMPUTE_PERIOD, gram_matrix
+from broydenfit.errors import SingularSystem, StagnantStep
 from broydenfit.linalg import solve
 
 from conftest import CountingEvaluator
@@ -480,3 +477,24 @@ def test_parameters_validation():
         Parameters([2.0], lower=[0.0], upper=[1.0])
     with pytest.raises(ConfigError):
         Parameters([0.0], lower=[0.0], upper=[0.0])  # degenerate box
+
+
+@pytest.mark.parametrize("values", [
+    [np.nan, 0.5], [np.inf, 0.5], [-np.inf, 0.5],  # non-finite
+    [1.5, 0.5], [0.5, -1.5],  # outside the box
+    [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]],  # wrong length or shape
+], ids=["nan", "inf", "-inf", "above", "below", "short", "long", "2-D"])
+def test_with_values_checks_the_new_values(values):
+    beta = Parameters([0.5, 0.5], lower=[0.0, -1.0], upper=[1.0, None])
+    with pytest.raises(ConfigError):
+        beta.with_values(np.array(values))
+
+
+def test_with_values_keeps_the_validated_bounds():
+    beta = Parameters([0.5, 0.5], lower=[0.0, -1.0], upper=[1.0, None])
+    values = np.array([1.0, -1.0])  # on the bounds
+    moved = beta.with_values(values)
+    assert moved.lower is beta.lower and moved.upper is beta.upper
+    assert moved == Parameters(values, [0.0, -1.0], [1.0, None])
+    values[0] = 0.25  # the instance holds its own read-only copy
+    assert moved.values[0] == 1.0 and not moved.values.flags.writeable

@@ -10,9 +10,12 @@ from broydenfit import (
     Parameters,
     RunStatus,
     SolverConfig,
+    optimize,
+)
+from broydenfit.core import (
     assemble_lm_system,
     broyden_update,
-    optimize,
+    constrain_step,
     perturb_initial,
     weighted_norm,
 )
@@ -43,6 +46,66 @@ def test_secant_condition_holds(triple):
     eps = np.finfo(float).eps
     bound = 4 * eps * (np.linalg.norm(t) + np.linalg.norm(b, "fro") * np.linalg.norm(s))
     assert np.linalg.norm(b_new @ s - t) <= bound
+
+
+def constrain_step_loop(beta, p, alpha=1.0):
+    """Per-coordinate reference for the vectorised :func:`constrain_step`."""
+    cap = float(alpha)
+    for v, lo, hi, pj in zip(beta.values, beta.lower, beta.upper, p):
+        if pj > 0 and np.isfinite(hi):
+            room = 0.5 * (hi - v)
+        elif pj < 0 and np.isfinite(lo):
+            room = 0.5 * (v - lo)
+        else:
+            continue
+        limit = room / abs(pj)
+        if limit > 0:
+            cap = min(cap, limit)
+    return cap
+
+
+@st.composite
+def boxed_coordinate(draw):
+    """(value, lower, upper) with infinite sides, values on a bound and an
+    ulp inside one."""
+    lo = draw(st.one_of(st.just(-np.inf), finite))
+    hi = draw(st.one_of(st.just(np.inf), finite))
+    lo, hi = min(lo, hi), max(lo, hi)
+    if lo == hi:
+        hi = np.inf
+    at = draw(st.sampled_from(["inside", "lower", "upper", "ulp_above_lower",
+                               "ulp_below_upper"]))
+    if at == "lower" and np.isfinite(lo):
+        return lo, lo, hi
+    if at == "upper" and np.isfinite(hi):
+        return hi, lo, hi
+    if at == "ulp_above_lower" and np.isfinite(lo):
+        return np.nextafter(lo, np.inf), lo, hi
+    if at == "ulp_below_upper" and np.isfinite(hi):
+        return np.nextafter(hi, -np.inf), lo, hi
+    v = draw(st.floats(max(lo, -1e6), min(hi, 1e6)))
+    return v, lo, hi
+
+
+directions = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),  # zero, subnormal
+    st.floats(-1e-300, 1e-300),
+    finite,
+)
+
+
+@given(st.lists(st.tuples(boxed_coordinate(), directions), min_size=1, max_size=6),
+       st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+@settings(max_examples=500, deadline=None)
+def test_constrain_step_matches_per_coordinate_loop(coords, alpha):
+    v, lo, hi = (np.array(c) for c in zip(*(box for box, _ in coords)))
+    p = np.array([pj for _, pj in coords])
+    beta = Parameters(v, lo, hi)
+    got = constrain_step(beta, p, alpha)
+    with np.errstate(over="ignore"):  # room / subnormal p
+        expected = constrain_step_loop(beta, p, alpha)
+    assert float(got).hex() == float(expected).hex()
+    assert 0 < got <= alpha
 
 
 def test_gradient_descent_limit():

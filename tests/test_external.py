@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ from broydenfit import (
     ExternalEvaluator,
     ExternalEvaluatorSpec,
     LinearModel,
-    external_evaluate,
-    fd_jacobian,
-    serve,
 )
+from broydenfit.core import _CountingEvaluator
+from broydenfit.external import serve
+from broydenfit.fdiff import fd_jacobian
 
 ECHO_CHILD = """
 import json, sys
@@ -70,8 +72,16 @@ for line in sys.stdin:
 """
 
 
-def child(script: str, timeout: float = 10.0) -> ExternalEvaluatorSpec:
-    return ExternalEvaluatorSpec(command=(sys.executable, "-c", script),
+SCRIPTED_CHILD = """
+import json, sys
+for line, residuals in zip(sys.stdin, json.loads(sys.argv[1])):
+    req = json.loads(line)
+    print(json.dumps({"v": 1, "id": req["id"], "residuals": residuals}), flush=True)
+"""
+
+
+def child(script: str, timeout: float = 10.0, *args: str) -> ExternalEvaluatorSpec:
+    return ExternalEvaluatorSpec(command=(sys.executable, "-c", script, *args),
                                  timeout=timeout)
 
 
@@ -110,6 +120,26 @@ def test_timed_out_child_is_killed_at_once():
         elapsed = time.perf_counter() - start
         assert err.value.category == "timeout"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("script, timeout, fails", [
+    (ECHO_CHILD, 10.0, False),
+    (SLEEP_CHILD, 0.3, True),
+], ids=["normal", "after_timeout"])
+def test_close_leaves_no_pipe_open(script, timeout, fails):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ev = ExternalEvaluator(child(script, timeout))
+        if fails:
+            with pytest.raises(EvaluatorFailure):
+                ev(np.array([1.0]))
+        else:
+            ev(np.array([1.0]))
+        ev.close()
+        assert not ev._reader.is_alive()  # close() waited for it
+        del ev
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_garbage_line_is_malformed():
@@ -159,8 +189,31 @@ def test_spawn_failure():
 
 
 def test_one_shot_helper():
-    r = external_evaluate(child(ECHO_CHILD), np.array([4.0, -2.5]))
+    with ExternalEvaluator(child(ECHO_CHILD)) as ev:
+        r = ev(np.array([4.0, -2.5]))
     assert np.array_equal(r, [4.0, -2.5])
+
+
+@pytest.mark.parametrize("replies, category", [
+    ([[0.0, 0.0, 0.0], [0.0, 0.0]], "length_changed"),
+    ([[1.0, 2.0], [1.0, float("nan")]], "non_finite"),
+    ([[float("inf"), 2.0]], "non_finite"),
+    ([[]], "evaluation"),
+], ids=["length_changed", "nan", "inf", "empty"])
+def test_driver_and_external_evaluator_share_the_residual_contract(replies, category):
+    def failure(evaluate):
+        for _ in replies[:-1]:
+            evaluate(np.array([1.0]))
+        with pytest.raises(EvaluatorFailure) as err:
+            evaluate(np.array([1.0]))
+        return str(err.value), err.value.category
+
+    script = iter(replies)
+    in_process = failure(_CountingEvaluator(lambda beta: next(script)))
+    with ExternalEvaluator(child(SCRIPTED_CHILD, 10.0, json.dumps(replies))) as ev:
+        external = failure(ev)
+    assert in_process == external
+    assert external[1] == category
 
 
 def test_spec_validation():
@@ -181,9 +234,10 @@ def test_external_jacobian_of_echo_model_is_identity():
 
 # --- serve loop (child side), driven in process ------------------------------
 
-def run_serve(lines):
-    data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([1.0, 3.0]))
-    evaluate = DatasetEvaluator(LinearModel(), data)
+def run_serve(lines, evaluate=None):
+    if evaluate is None:
+        data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([1.0, 3.0]))
+        evaluate = DatasetEvaluator(LinearModel(), data)
     out = io.StringIO()
     serve(evaluate, io.StringIO(lines), out)
     return [json.loads(line) for line in out.getvalue().splitlines()]
@@ -220,6 +274,23 @@ def test_serve_model_error_keeps_serving():
     replies = run_serve(lines)
     assert "error" in replies[0]
     assert replies[1] == {"v": 1, "id": 2, "residuals": [0.0, 0.0]}
+
+
+def test_serve_answers_unexpected_model_exception():
+    calls = []
+
+    def evaluate(params):
+        calls.append(params)
+        if len(calls) == 1:
+            return 1.0 / 0
+        return params
+
+    replies = run_serve('{"v":1,"id":1,"params":[1]}\n'
+                        '{"v":1,"id":2,"params":[2]}\n', evaluate)
+    assert replies == [
+        {"v": 1, "id": 1, "error": "ZeroDivisionError: float division by zero"},
+        {"v": 1, "id": 2, "residuals": [2.0]},
+    ]
 
 
 def test_serve_skips_blank_lines_and_stops_at_eof():

@@ -8,12 +8,16 @@ from broydenfit import (
     FdConfig,
     LinearModel,
     PolynomialModel,
-    brute_force_minimum,
-    fd_jacobian,
 )
+from broydenfit.fdiff import fd_jacobian
 from broydenfit.models import Dataset, ExponentialDecayModel
 
-from conftest import analytic_jacobian, decay_dataset, linear_dataset
+from conftest import (
+    analytic_jacobian,
+    brute_force_minimum,
+    decay_dataset,
+    linear_dataset,
+)
 
 
 def test_linear_model_jacobian_matches_exact():

@@ -12,8 +12,8 @@ from broydenfit import (
     LogisticModel,
     PolynomialModel,
     make_model,
-    residuals_from_dataset,
 )
+from broydenfit.models import residuals_from_dataset
 
 
 def test_linear_exact_fit_residuals():

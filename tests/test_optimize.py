@@ -10,11 +10,11 @@ from broydenfit import (
     PolynomialModel,
     RunStatus,
     SolverConfig,
-    fd_jacobian,
     optimize,
     optimize_with_state,
 )
 from broydenfit import core, fdiff
+from broydenfit.fdiff import fd_jacobian
 from broydenfit.core import LAMBDA_CAP
 from broydenfit.models import Dataset
 
