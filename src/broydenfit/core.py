@@ -10,6 +10,9 @@ factor is adapted multiplicatively on acceptance or rejection.
 
 Only residual evaluations are required of the model: a callable mapping a
 parameter vector of length n to a residual vector of fixed length m >= n.
+An iteration reads and writes the m x n secant matrix once, one cache-sized
+block of rows at a time (:func:`broyden_update`): the rank-one update, the
+upkeep of its Gram matrix and the right-hand side of the next solve.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ STAGNANT_SNORM2 = 1e-30
 # The driver updates B^T W B along with B, and recomputes it exactly after
 # this many secant updates to bound its round-off drift.
 GRAM_RECOMPUTE_PERIOD = 10
+
+# broyden_update's row blocks: about this many elements (1 MB, within a core's L2
+# cache), in whole multiples of 64 rows, which keep each row of B s unchanged.
+SECANT_BLOCK_ELEMENTS = 1 << 17
 
 ResidualEvaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -313,7 +320,8 @@ def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
 def broyden_update(
     b: np.ndarray, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
     gram: np.ndarray | None = None, weights: np.ndarray | None = None,
-) -> np.ndarray:
+    residuals: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Rank-one secant update: B + u s^T with u = (t - B s) / ||s||^2.
 
     The result maps the step ``s`` to the observed residual change ``t``
@@ -326,6 +334,12 @@ def broyden_update(
     is updated in place to the new matrix's product,
     ``gram + (v s^T + s v^T) + (u^T W u) s s^T`` with ``v = B^T W u``;
     summing the symmetric pair first keeps ``gram`` exactly symmetric.
+    Given ``residuals`` r, it returns ``(out, rhs)``, ``rhs = -(B'^T W r)``
+    of the updated B' for :func:`assemble_lm_system`.  It is all one pass in
+    row blocks (``SECANT_BLOCK_ELEMENTS``): a block gives its rows of ``u``
+    and its share of ``v``, takes its rows of the update and then its share
+    of ``rhs`` while in cache.  One block makes the unblocked products;
+    across blocks, ``v``, ``u^T W u`` and ``rhs`` are summed block by block.
 
     Raises:
         StagnantStep: when ``||s||^2`` is below ``STAGNANT_SNORM2``;
@@ -337,21 +351,35 @@ def broyden_update(
     snorm2 = float(s @ s)
     if snorm2 < STAGNANT_SNORM2:
         raise StagnantStep(f"squared step norm {snorm2:.3e} below {STAGNANT_SNORM2:.0e}")
-    u = (t - b @ s) / snorm2
     if out is None:
         out = np.array(b, dtype=float, order="C")
     elif not out.flags.c_contiguous or out.dtype != np.float64:
         raise ValueError("out must be a C-contiguous float64 array")
     elif out is not b:
         out[...] = b
+    m, n = out.shape
+    rows = max(64, SECANT_BLOCK_ELEMENTS // n // 64 * 64)
+    wr = residuals if residuals is None or weights is None else weights * residuals
+    v, g, uwu = None, None, 0.0
+    for i in range(0, m, rows):
+        bi, ti, wi, ri = ((out, t, weights, wr) if rows >= m else
+                          (x if x is None else x[i:i + rows] for x in (out, t, weights, wr)))
+        ui = (ti - bi @ s) / snorm2
+        if gram is not None:
+            wui = ui if wi is None else wi * ui
+            vi = bi.T @ wui
+            v = vi if v is None else np.add(v, vi, out=v)
+            uwu += float(ui @ wui)
+        # bi.T is Fortran-ordered, so dger adds s u^T to it in place.
+        scipy.linalg.blas.dger(1.0, s, ui, a=bi.T, overwrite_a=1)
+        if ri is not None:
+            gi = bi.T @ ri
+            g = gi if g is None else np.add(g, gi, out=g)
     if gram is not None:
-        wu = u if weights is None else weights * u
-        vs = np.outer(b.T @ wu, s)
+        vs = np.outer(v, s)
         gram += vs + vs.T
-        gram += float(u @ wu) * np.outer(s, s)
-    # out.T is Fortran-ordered, so dger adds s u^T to it in place.
-    scipy.linalg.blas.dger(1.0, s, u, a=out.T, overwrite_a=1)
-    return out
+        gram += uwu * np.outer(s, s)
+    return out if residuals is None else (out, -g)
 
 
 def gram_matrix(b: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -365,21 +393,23 @@ def gram_matrix(b: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
 
 def assemble_lm_system(
     b: np.ndarray, r: np.ndarray, lam: float, weights: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray | None = None, rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped normal equations for the direction solve.
 
     Unweighted: ``(B^T B + lam * diag(B^T B)) p = -B^T r``; with weights the
     Gram matrix and right-hand side take ``B^T W B`` and ``-B^T W r`` forms.
     ``gram`` is ``B^T W B`` when the caller maintains it; otherwise it is
-    computed by :func:`gram_matrix`.
+    computed by :func:`gram_matrix`.  ``rhs`` is ``-B^T W r`` from the pass
+    of :func:`broyden_update` when there was one, or else computed here.
     """
     if lam < 0:
         raise ConfigError(f"damping factor must be non-negative, got {lam}", key="lambda")
     w = None if weights is None else np.asarray(weights, dtype=float)
     if gram is None:
         gram = gram_matrix(b, w)
-    rhs = -(b.T @ (r if w is None else w * r))
+    if rhs is None:
+        rhs = -(b.T @ (r if w is None else w * r))
     a = gram.copy()
     idx = np.diag_indices_from(a)
     a[idx] += lam * gram[idx]
@@ -573,9 +603,10 @@ def optimize(
     Jacobian (``fd_config`` controls scheme and step sizes).
 
     Returns a :class:`RunReport`; evaluator problems surface as
-    ``status=EvaluatorFailure`` rather than an exception.  With
-    ``diagnostics=True`` each record carries a condition estimate of the
-    solved system.
+    ``status=EvaluatorFailure`` rather than an exception, and normal
+    equations that overflow as ``LineSearchFloor`` (numpy's overflow and
+    invalid-value warnings are off for the run).  With ``diagnostics=True``
+    each record carries a condition estimate of the solved system.
     """
     report, _ = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
                           on_iteration, diagnostics, fold_final=False)
@@ -599,6 +630,7 @@ def optimize_with_state(
                      on_iteration, diagnostics, fold_final=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _optimize(
     evaluate: ResidualEvaluator,
     beta0,
@@ -660,6 +692,7 @@ def _optimize(
         refresh = (
             config.fd_refresh_period is not None and k % config.fd_refresh_period == 0
         )
+        rhs = None  # -B^T W r, from the secant pass when there is one
         if refresh:
             try:
                 b = fdiff.fd_jacobian(ev, beta.values, fd_config)
@@ -672,7 +705,8 @@ def _optimize(
                 gram = None  # recomputed below instead of updated
             try:
                 # b is private to this run (np.eye or fd_jacobian): update in place.
-                broyden_update(b, *pending, out=b, gram=gram, weights=w)
+                _, rhs = broyden_update(b, *pending, out=b, gram=gram, weights=w,
+                                        residuals=r)
                 state.last_step, state.last_residual_change = pending
                 since_exact += 1
             except StagnantStep as exc:
@@ -683,10 +717,14 @@ def _optimize(
 
         # Solve for the direction, escalating the damping on rank deficiency.
         while True:
-            a, rhs = assemble_lm_system(b, r, lam, w, gram)
+            a, rhs = assemble_lm_system(b, r, lam, w, gram, rhs)
             try:
                 p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
                            else (linalg.solve(a, rhs), None))
+                break
+            except ValueError as exc:  # inf or NaN: no damping makes it finite
+                status = RunStatus.LineSearchFloor
+                reason = f"iteration {k}: non-finite normal equations ({exc})"
                 break
             except SingularSystem as exc:
                 if lam >= LAMBDA_CAP:

@@ -90,7 +90,9 @@ class LinearModel(AnalyticModel):
         return d + 1
 
     def predict(self, x, beta):
-        return beta[0] + x @ beta[1:]
+        f = x @ beta[1:]  # a fresh array, so the intercept is added in place
+        f += beta[0]
+        return f
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from broydenfit import ConfigError, EvaluatorFailure, Parameters, SolverConfig
+from broydenfit import core
 from broydenfit.core import (
     GRAM_RECOMPUTE_PERIOD,
     armijo_holds,
@@ -156,6 +157,52 @@ def test_broyden_update_out_is_written_in_place(m, n):
     assert np.array_equal(b, expected)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # The secant pass rounds its rows per block down to a multiple of 64,
+    # and takes at least 64: with this every block has 64 rows.
+    monkeypatch.setattr(core, "SECANT_BLOCK_ELEMENTS", 1)
+    return 64
+
+
+@pytest.mark.parametrize("m, n", [(200, 7), (1000, 3)])
+def test_blocked_update_within_ulps_of_outer_product(small_blocks, m, n):
+    assert m > 3 * small_blocks and m % small_blocks  # >= 3 blocks and a remainder
+    b, s, t = _random_pair(m, n)
+    outer = np.outer((t - b @ s) / float(s @ s), s)
+    expected = b + outer
+    got = broyden_update(b, s, t)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - expected) <= 2 * eps * (np.abs(b) + np.abs(outer)))
+    assert broyden_update(b, s, t, out=b) is b
+    assert np.array_equal(b, got)
+
+
+@pytest.mark.parametrize("blocks", ["one", "many"])
+@pytest.mark.parametrize("weights", [None, "random"])
+def test_secant_pass_returns_the_next_right_hand_side(request, blocks, weights):
+    # With residuals the update also returns rhs = -(B'^T W r) for the
+    # updated B'.  From one block it is the unblocked product, bit for bit.
+    # Across blocks the sum is taken in another order; each order is within
+    # m * eps * (|B'|^T |W r|) of the exact sum.
+    if blocks == "many":
+        request.getfixturevalue("small_blocks")
+    m, n = 1000, 6
+    b, s, t = _random_pair(m, n)
+    rng = np.random.default_rng(3)
+    w = None if weights is None else rng.uniform(0.5, 2.0, m)
+    r = rng.standard_normal(m)
+    wr = r if w is None else w * r
+    out, rhs = broyden_update(b, s, t, weights=w, residuals=r)
+    assert np.array_equal(out, broyden_update(b, s, t))
+    expected = -(out.T @ wr)
+    if blocks == "one":
+        assert rhs.tobytes() == expected.tobytes()
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(rhs - expected) <= 2 * m * eps * (np.abs(out.T) @ np.abs(wr)))
+
+
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_incremental_gram_drift_is_bounded(weights):
     # After GRAM_RECOMPUTE_PERIOD - 1 updates (the most the driver folds in
@@ -178,6 +225,12 @@ def test_incremental_gram_drift_is_bounded(weights):
     assert np.max(np.abs(gram - gram_matrix(b, w))) <= 8 * updates * eps * scale
 
 
+@pytest.mark.parametrize("weights", [None, "random"])
+def test_incremental_gram_drift_is_bounded_across_blocks(small_blocks, weights):
+    # The same bound when v and u^T W u are summed over 32 blocks.
+    test_incremental_gram_drift_is_bounded(weights)
+
+
 def test_broyden_stagnant_step():
     b = np.eye(2)
     with pytest.raises(StagnantStep):
@@ -189,6 +242,28 @@ def test_broyden_stagnant_step():
     with pytest.raises(StagnantStep):
         broyden_update(b, np.array([1e-16, 0.0]), np.array([1.0, 1.0]), out=b)
     assert np.array_equal(b, np.eye(2))
+
+
+def test_blocked_stagnant_step_leaves_out_and_gram_untouched(small_blocks):
+    m, n = 200, 3
+    b, _, t = _random_pair(m, n)
+    gram = gram_matrix(b)
+    before, gram_before = b.copy(), gram.copy()
+    with pytest.raises(StagnantStep):
+        broyden_update(b, np.full(n, 1e-16), t, out=b, gram=gram, residuals=t)
+    assert np.array_equal(b, before) and np.array_equal(gram, gram_before)
+
+
+def test_blocked_pass_unit_weights_bitwise_equal_to_unweighted(small_blocks):
+    m, n = 450, 5
+    b, s, t = _random_pair(m, n)
+    r = np.random.default_rng(4).standard_normal(m)
+    results = []
+    for w in (None, np.ones(m)):
+        gram = gram_matrix(b, w)
+        out, rhs = broyden_update(b, s, t, gram=gram, weights=w, residuals=r)
+        results.append((out, gram, rhs))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*results))
 
 
 # --- system assembly and direction solve ------------------------------------
@@ -220,6 +295,12 @@ def test_assemble_identity_weights_bitwise_equal_to_unweighted():
     a1, rhs1 = assemble_lm_system(b, r, 0.37, np.ones(5))
     assert np.array_equal(a0, a1)
     assert np.array_equal(rhs0, rhs1)
+
+
+def test_assemble_takes_a_given_right_hand_side():
+    given = np.array([5.0, 6.0])
+    a, rhs = assemble_lm_system(np.eye(2), np.array([1.0, 1.0]), 0.0, rhs=given)
+    assert rhs is given and np.array_equal(a, np.eye(2))
 
 
 def test_assemble_rejects_negative_damping():

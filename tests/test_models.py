@@ -74,6 +74,15 @@ def test_multivariate_linear():
     assert np.array_equal(r, [-(1.0 + 3.0), -(1.0 + 4.0 - 3.0)])
 
 
+@pytest.mark.parametrize("d", [0, 1, 5])
+def test_linear_predict_bitwise_equal_to_textbook_form(d):
+    rng = np.random.default_rng(d)
+    x, beta = rng.standard_normal((300, d)), rng.standard_normal(d + 1)
+    got = LinearModel().predict(x, beta)
+    assert got.dtype == np.float64
+    assert got.tobytes() == (beta[0] + x @ beta[1:]).tobytes()
+
+
 def test_parameter_count_mismatch():
     data = Dataset(x=np.array([[0.0]]), y=np.array([1.0]))
     with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,8 +165,9 @@ def test_state_secant_pair_is_absorbed():
 
 
 def _multi_block_linear_problem():
-    # m = 20000 rows and n = 8 parameters; the fit takes 15 iterations, so
-    # the driver both updates its Gram matrix and recomputes it.
+    # m = 20000 rows and n = 8 parameters, two row blocks of the secant pass
+    # (16384 and 3616 rows); the fit takes 15 iterations, so the driver both
+    # updates its Gram matrix and recomputes it.
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.0, 1.0, (20000, 7))
     beta = rng.choice([-1.0, 1.0], 8)
@@ -181,6 +184,21 @@ def test_multi_block_trajectories_are_bitwise_reproducible():
     assert report == with_state
     lhs = state.broyden @ state.last_step
     assert np.allclose(lhs, state.last_residual_change, rtol=0, atol=1e-9)
+
+
+def test_overflowing_normal_equations_end_the_run_with_a_report():
+    # B^T B overflows to inf after the bootstrap update; no damping can make
+    # the system finite, so the run stops at once, without a warning.
+    def evaluate(b):
+        return np.array([1e200 * b[0] + 1e200, 1e200 * b[1] ** 2 - 3e200,
+                         1e200 * b[0] * b[1]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = optimize(evaluate, beta0=[1.0, 2.0])
+    assert report.status is RunStatus.LineSearchFloor
+    assert "non-finite normal equations" in report.failure_reason
+    assert report.evaluation_count == 2 and report.iterations == []
 
 
 def test_only_optimize_with_state_folds_the_final_pair(monkeypatch):
@@ -207,9 +225,9 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
     assembled, slopes = [], []
     assemble, search = core.assemble_lm_system, core.backtrack
 
-    def spy_assemble(b, r, lam, w=None, gram=None):
+    def spy_assemble(b, r, lam, w=None, gram=None, rhs=None):
         assembled.append((b.copy(), r.copy()))
-        return assemble(b, r, lam, w, gram)
+        return assemble(b, r, lam, w, gram, rhs)
 
     def spy_search(beta, p, config, evaluate, r_old, slope, w=None):
         b, r = assembled[-1]
@@ -246,8 +264,8 @@ def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
         since[0] += 1
         return out
 
-    def spy_assemble(b, r, lam, w=None, gram=None):
-        out = assemble(b, r, lam, w, gram)
+    def spy_assemble(b, r, lam, w=None, gram=None, rhs=None):
+        out = assemble(b, r, lam, w, gram, rhs)
         if since[0] % core.GRAM_RECOMPUTE_PERIOD == 0:
             exact = assemble(b, r, lam, w)
             checked.append((since[0], all(np.array_equal(x, y)

@@ -1,0 +1,148 @@
+"""Compare the fits of two checkouts of broydenfit, problem by problem.
+
+Runs every problem of one benchmark workload (``corpus``, ``tall`` or
+``wide``, as generated by ``bench/workloads.py``) through
+``broydenfit.optimize`` once at each checkout and compares the two
+``RunReport``s of each problem, every field and every iteration record,
+bit for bit.  Prints how many problems differ (and the first few names),
+then per side the totals of each status, of evaluator calls and of failed
+fits, where a fit fails as in the benchmark: it did not converge, or its
+parameters lie more than ``workloads.TOLERANCE`` from the reference
+solution.
+
+Each checkout runs in its own Python subprocess, with its own ``src/`` on
+the path and ``OPENBLAS_NUM_THREADS=1``.  Both sides fit the problems that
+CHANGE_DIR's ``bench/workloads.py`` generates; nothing under ``bench/`` is
+written.
+
+Usage:
+    python tools/trajectory_diff.py PARENT_DIR CHANGE_DIR --workload corpus
+
+Exit status: 0 when every report is equal, 1 when some differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+WORKLOADS = ("corpus", "tall", "wide")
+SEED = 0  # the seed only orders the problems; they are matched by name
+SHOWN = 10
+
+
+def _report_data(report) -> dict:
+    """A RunReport as JSON-ready data: arrays as lists, the status by value."""
+    import numpy as np
+
+    def plain(value):
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return {
+        "status": report.status.value,
+        "beta": report.final_beta.values.tolist(),
+        "objective": report.final_objective,
+        "evaluations": report.evaluation_count,
+        "reason": report.failure_reason,
+        "iterations": [[plain(getattr(rec, f.name)) for f in dataclasses.fields(rec)]
+                       for rec in report.iterations],
+    }
+
+
+def child(checkout: str, bench: str, workload: str) -> None:
+    """Fit every problem with the checkout's package; JSON lines on stdout."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path[:0] = [src, bench]
+    import broydenfit
+    import workloads
+
+    if not os.path.abspath(broydenfit.__file__).startswith(src + os.sep):
+        raise SystemExit(f"error: imported broydenfit from {broydenfit.__file__}")
+    for p in workloads.build(workload, SEED, workdir=None):
+        call = dict(p.call)
+        report = broydenfit.optimize(call.pop("evaluator"), **call)
+        print(json.dumps([p.name, _report_data(report)]), flush=True)
+
+
+def run_side(checkout: str, bench: str, workload: str) -> dict[str, str]:
+    """Each problem's report, as its JSON text, from one checkout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", checkout,
+         "--bench", bench, "--workload", workload],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if out.returncode != 0:
+        raise SystemExit(f"error: fits at {checkout} failed:\n{out.stderr}")
+    reports = {}
+    for line in out.stdout.splitlines():
+        name, data = json.loads(line)
+        reports[name] = json.dumps(data)
+    return reports
+
+
+def failed_fits(bench: str, workload: str, sides: dict[str, dict[str, str]]) -> dict:
+    """Per side, the number of fits that fail the benchmark's test."""
+    import numpy as np
+
+    sys.path.insert(0, bench)
+    import workloads
+
+    failed = dict.fromkeys(sides, 0)
+    for p in workloads.generate(workload, SEED):
+        ref, _ = workloads.reference(p)
+        for side, reports in sides.items():
+            data = json.loads(reports[p.name])
+            dev = workloads.deviation(np.array(data["beta"]), ref)
+            failed[side] += data["status"] != "Converged" or not dev <= workloads.TOLERANCE
+    return failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?", help="checkout to compare against")
+    parser.add_argument("change", nargs="?", help="checkout with the change")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--bench", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child, args.bench, args.workload)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("PARENT_DIR and CHANGE_DIR are required")
+
+    bench = os.path.join(os.path.abspath(args.change), "bench")
+    sides = {"parent": args.parent, "change": args.change}
+    reports = {side: run_side(path, bench, args.workload) for side, path in sides.items()}
+    names = sorted(reports["change"])
+    if sorted(reports["parent"]) != names:
+        raise SystemExit("error: the two checkouts fitted different problems")
+    differ = [name for name in names if reports["parent"][name] != reports["change"][name]]
+
+    print(f"{args.workload}: {len(names)} problems, {len(differ)} differ")
+    for name in differ[:SHOWN]:
+        print(f"  differs: {name}")
+    if len(differ) > SHOWN:
+        print(f"  ... and {len(differ) - SHOWN} more")
+    rows = collections.defaultdict(dict)
+    for side in sides:
+        data = [json.loads(text) for text in reports[side].values()]
+        for status, count in collections.Counter(d["status"] for d in data).items():
+            rows[f"status {status}"][side] = count
+        rows["evaluations"][side] = sum(d["evaluations"] for d in data)
+    rows["failed"] = failed_fits(bench, args.workload, reports)
+    print(f"{'':28}{'parent':>10}{'change':>10}")
+    for label, row in sorted(rows.items()):
+        print(f"{label:28}{row.get('parent', 0):>10}{row.get('change', 0):>10}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
