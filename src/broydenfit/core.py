@@ -13,6 +13,10 @@ parameter vector of length n to a residual vector of fixed length m >= n.
 An iteration reads and writes the m x n secant matrix once, one cache-sized
 block of rows at a time (:func:`broyden_update`): the rank-one update, the
 upkeep of its Gram matrix and the right-hand side of the next solve.
+
+The driver keeps that state in one object, ``_SecantJacobian``: B, its Gram
+matrix, the right-hand side and the step pair waiting to be absorbed.  Each
+iteration it absorbs the pair or refreshes B, then assembles the solve.
 """
 
 from __future__ import annotations
@@ -144,7 +148,6 @@ class SolverConfig:
     perturbation_rel: relative bootstrap perturbation of nonzero parameters.
     perturbation_abs: additive bootstrap perturbation of zero parameters.
     max_iterations:   hard iteration cap.
-    max_p_norm:       optional secondary stop on the direction norm (None = off).
     fd_refresh_period: rebuild the secant matrix from finite differences
                       every this many iterations (None = pure secant updates).
     """
@@ -158,7 +161,6 @@ class SolverConfig:
     perturbation_rel: float = 0.01
     perturbation_abs: float = 0.01
     max_iterations: int = 200
-    max_p_norm: float | None = None
     fd_refresh_period: int | None = None
 
     def __post_init__(self):
@@ -172,7 +174,6 @@ class SolverConfig:
             ("perturbation_rel", self.perturbation_rel > 0),
             ("perturbation_abs", self.perturbation_abs > 0),
             ("max_iterations", self.max_iterations >= 2),
-            ("max_p_norm", self.max_p_norm is None or self.max_p_norm > 0),
             ("fd_refresh_period",
              self.fd_refresh_period is None or self.fd_refresh_period >= 1),
         ]
@@ -249,15 +250,14 @@ class RunReport:
 class SolverState:
     """Internal state snapshot returned by :func:`optimize_with_state`.
 
-    ``broyden`` has absorbed every observed secant pair, including the final
-    accepted step, so ``broyden @ last_step`` reproduces
-    ``last_residual_change`` to round-off.
+    ``broyden`` has absorbed the run's final step pair too, and
+    ``last_step``/``last_residual_change`` is the last pair it absorbed, so
+    ``broyden @ last_step`` reproduces ``last_residual_change`` to round-off.
     """
 
     broyden: np.ndarray | None = None
     last_step: np.ndarray | None = None
     last_residual_change: np.ndarray | None = None
-    residuals: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +460,8 @@ def max_relative_change(p: np.ndarray, values: np.ndarray) -> float:
 
 
 def check_convergence(p: np.ndarray, beta: Parameters, config: SolverConfig) -> bool:
-    """True when the direction is negligible relative to the parameters.
-
-    Also true under the optional secondary guard ``||p|| < max_p_norm``.
-    """
-    if max_relative_change(p, beta.values) < config.epsilon:
-        return True
-    if config.max_p_norm is not None and float(np.linalg.norm(p)) < config.max_p_norm:
-        return True
-    return False
+    """True when the direction is negligible relative to the parameters."""
+    return max_relative_change(p, beta.values) < config.epsilon
 
 
 def update_lambda(lam: float, accepted: bool, config: SolverConfig) -> float:
@@ -553,6 +546,68 @@ class _CountingEvaluator:
         return r
 
 
+class _SecantJacobian:
+    """The secant approximation B of the m x n residual Jacobian: B (from
+    ``eye(m, n)``), its Gram matrix ``B^T W B`` with the updates made since
+    it was exact, the right-hand side ``-B^T W r`` left by the last update's
+    pass, the ``pending`` step pair ``(s, t)`` and the last pair absorbed."""
+
+    def __init__(self, m: int, n: int, weights: np.ndarray | None):
+        self.b = np.eye(m, n)  # private to this run, so updated in place
+        self.weights = weights
+        self.gram: np.ndarray | None = None  # None: recompute it exactly
+        self.since_exact = 0
+        self.rhs: np.ndarray | None = None
+        self.pending: tuple[np.ndarray, np.ndarray] | None = None
+        self.last: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+
+    def absorb(self, r: np.ndarray, k: int) -> str:
+        """Rank-one update of B by the pending pair, whose pass also leaves
+        the right-hand side at residuals ``r``; a stagnant step is skipped,
+        with a warning naming iteration ``k``."""
+        (s, t), self.pending, self.rhs = self.pending, None, None
+        if self.since_exact == GRAM_RECOMPUTE_PERIOD - 1:
+            self.gram = None  # recomputed by system() instead of updated, even on a skip
+        try:
+            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=self.gram,
+                                         weights=self.weights, residuals=r)
+        except StagnantStep as exc:
+            logger.warning("iteration %d: secant update skipped (%s)", k, exc)
+            return "skipped"
+        self.last = (s, t)
+        self.since_exact += 1
+        return "updated"
+
+    def refresh(self, ev: ResidualEvaluator, beta: np.ndarray,
+                fd_config: "fdiff.FdConfig | None") -> str:
+        """Rebuild B by finite differences at ``beta`` and drop the pending
+        pair.  An :class:`EvaluatorFailure` propagates and leaves all as it was."""
+        self.b = fdiff.fd_jacobian(ev, beta, fd_config)
+        self.gram = self.rhs = self.pending = None
+        return "refreshed"
+
+    def system(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """The damped normal equations at ``r`` (:func:`assemble_lm_system`),
+        recomputing the Gram matrix first when it is due."""
+        if self.gram is None:
+            self.gram, self.since_exact = gram_matrix(self.b, self.weights), 0
+        a, self.rhs = assemble_lm_system(self.b, r, lam, self.weights, self.gram, self.rhs)
+        return a, self.rhs
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def state(self) -> SolverState:
+        """Fold the pending pair into B, so that B has absorbed every
+        observed pair, and return B with the last pair it absorbed."""
+        if self.pending is not None:
+            try:
+                broyden_update(self.b, *self.pending, out=self.b)
+                self.last = self.pending
+            except StagnantStep:
+                pass
+            self.pending = self.gram = None
+        return SolverState(self.b, *self.last)
+
+
 def _resolve_weights(weights, m: int) -> np.ndarray | None:
     if weights is None:
         return None
@@ -608,9 +663,8 @@ def optimize(
     invalid-value warnings are off for the run).  With ``diagnostics=True``
     each record carries a condition estimate of the solved system.
     """
-    report, _ = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
-                          on_iteration, diagnostics, fold_final=False)
-    return report
+    return _optimize(evaluate, beta0, config, weights, n_params, fd_config,
+                     on_iteration, diagnostics)[0]
 
 
 def optimize_with_state(
@@ -624,10 +678,12 @@ def optimize_with_state(
     on_iteration: Callable[[IterationRecord], None] | None = None,
     diagnostics: bool = False,
 ) -> tuple[RunReport, SolverState]:
-    """Like :func:`optimize` but also returns the final internal state
-    (secant matrix, last step pair, final residuals) for diagnostics."""
-    return _optimize(evaluate, beta0, config, weights, n_params, fd_config,
-                     on_iteration, diagnostics, fold_final=True)
+    """Like :func:`optimize` but also returns the final secant matrix and
+    the last step pair it absorbed, for diagnostics (all ``None`` when the
+    bootstrap failed)."""
+    report, jac = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
+                            on_iteration, diagnostics)
+    return report, SolverState() if jac is None else jac.state()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -640,84 +696,47 @@ def _optimize(
     fd_config: "fdiff.FdConfig | None",
     on_iteration: Callable[[IterationRecord], None] | None,
     diagnostics: bool,
-    fold_final: bool,
-) -> tuple[RunReport, SolverState]:
-    """The optimization loop.  ``fold_final`` absorbs the last pending step
-    pair into the returned secant matrix; only the state needs it, not the
-    report."""
+) -> tuple[RunReport, _SecantJacobian | None]:
+    """The optimization loop.  Returns the report and the run's secant
+    Jacobian, or None when the bootstrap failed."""
     config = config or SolverConfig()
     beta = as_parameters(beta0, n_params)
     n = beta.size
     ev = _CountingEvaluator(evaluate)
     records: list[IterationRecord] = []
-    state = SolverState()
-    w: np.ndarray | None = None
-
-    def finish(status, reason=None):
-        obj = np.inf if state.residuals is None else objective_value(state.residuals, w)
-        return (
-            RunReport(status, beta, obj, records, ev.count, reason),
-            state,
-        )
-
+    r = w = None
     try:
         r = ev(beta.values)
-        state.residuals = r
+        if ev.m < n:
+            raise ConfigError(f"under-determined system: {ev.m} residuals for {n} "
+                              "parameters", key="evaluate")
+        w = _resolve_weights(weights, ev.m)
         perturbed = perturb_initial(beta, config)
         r_pert = ev(perturbed.values)
     except EvaluatorFailure as exc:
-        return finish(RunStatus.EvaluatorFailure, f"bootstrap: {exc}")
+        obj = np.inf if r is None else objective_value(r, w)
+        return RunReport(RunStatus.EvaluatorFailure, beta, obj, records, ev.count,
+                         f"bootstrap: {exc}"), None
 
-    m = ev.m
-    if m < n:
-        raise ConfigError(
-            f"under-determined system: {m} residuals for {n} parameters", key="evaluate"
-        )
-    w = _resolve_weights(weights, m)
-
-    b = np.eye(m, n)
-    # B^T W B of b (None: recompute it), and the updates folded into it since.
-    gram, since_exact = None, 0
-    pending: tuple[np.ndarray, np.ndarray] | None = (
-        perturbed.values - beta.values,
-        r_pert - r,
-    )
+    jac = _SecantJacobian(ev.m, n, w)
+    jac.pending = (perturbed.values - beta.values, r_pert - r)
     beta, r = perturbed, r_pert
-    state.residuals = r
     lam = config.lambda_init
-    status = RunStatus.MaxIterations
-    reason = None
+    status, reason = RunStatus.MaxIterations, None
 
     for k in range(1, config.max_iterations + 1):
-        refresh = (
-            config.fd_refresh_period is not None and k % config.fd_refresh_period == 0
-        )
-        rhs = None  # -B^T W r, from the secant pass when there is one
-        if refresh:
+        if config.fd_refresh_period is not None and k % config.fd_refresh_period == 0:
             try:
-                b = fdiff.fd_jacobian(ev, beta.values, fd_config)
+                jac.refresh(ev, beta.values, fd_config)
             except EvaluatorFailure as exc:
                 status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
                 break
-            gram = None
-        elif pending is not None:
-            if since_exact == GRAM_RECOMPUTE_PERIOD - 1:
-                gram = None  # recomputed below instead of updated
-            try:
-                # b is private to this run (np.eye or fd_jacobian): update in place.
-                _, rhs = broyden_update(b, *pending, out=b, gram=gram, weights=w,
-                                        residuals=r)
-                state.last_step, state.last_residual_change = pending
-                since_exact += 1
-            except StagnantStep as exc:
-                logger.warning("iteration %d: secant update skipped (%s)", k, exc)
-        pending = None
-        if gram is None:
-            gram, since_exact = gram_matrix(b, w), 0
+        else:
+            jac.absorb(r, k)
 
         # Solve for the direction, escalating the damping on rank deficiency.
         while True:
-            a, rhs = assemble_lm_system(b, r, lam, w, gram, rhs)
+            a, rhs = jac.system(r, lam)
             try:
                 p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
                            else (linalg.solve(a, rhs), None))
@@ -736,37 +755,23 @@ def _optimize(
         if status is RunStatus.LineSearchFloor:
             break
 
-        if not np.any(p):
-            # Exact stationary point of the local model: nothing to try.
-            rn = weighted_norm(r, w)
-            rec = IterationRecord(k, beta.values.copy(), rn, 0.5 * rn * rn,
-                                  lam, 0.0, 0.0, 0.0, True, cond)
-            records.append(rec)
-            if on_iteration:
-                on_iteration(rec)
-            status = RunStatus.Converged
-            break
-
-        # rhs = -B^T W r, so the objective's slope along p is -(rhs @ p).
-        slope = -float(rhs @ p)
-        try:
-            alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope, w)
-        except EvaluatorFailure as exc:
-            status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
-            break
-
-        if accepted:
-            new_values = beta.clip(beta.values + alpha * p)
-            pending = (new_values - beta.values, r_new - r)
-            beta, r = beta.with_values(new_values), r_new
-            state.residuals = r
-        else:
-            # The move is refused, but the best trial still carries secant
-            # information; absorbing it corrects the approximation that
-            # produced the bad direction.
+        if np.any(p):
+            # rhs = -B^T W r, so the objective's slope along p is -(rhs @ p).
+            slope = -float(rhs @ p)
+            try:
+                alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope, w)
+            except EvaluatorFailure as exc:
+                status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
+                break
+            # A refused move's best trial still carries secant information;
+            # absorbing it corrects the approximation that produced it.
             trial = beta.clip(beta.values + alpha * p)
-            pending = (trial - beta.values, r_new - r)
-        lam_next = update_lambda(lam, accepted, config)
+            jac.pending = (trial - beta.values, r_new - r)
+            if accepted:
+                beta, r = beta.with_values(trial), r_new
+        else:
+            # Exact stationary point of the local model: nothing to try.
+            alpha, accepted = 0.0, True
 
         rn = weighted_norm(r, w)
         rec = IterationRecord(
@@ -792,15 +797,6 @@ def _optimize(
             status = RunStatus.LineSearchFloor
             reason = f"iteration {k}: no sufficient-decrease step at damping cap"
             break
-        lam = lam_next
+        lam = update_lambda(lam, accepted, config)
 
-    # Fold the final pair into the secant matrix so diagnostics see every
-    # observed (step, residual change).
-    if fold_final and pending is not None:
-        try:
-            broyden_update(b, *pending, out=b)
-            state.last_step, state.last_residual_change = pending
-        except StagnantStep:
-            pass
-    state.broyden = b
-    return finish(status, reason)
+    return RunReport(status, beta, objective_value(r, w), records, ev.count, reason), jac

@@ -46,7 +46,7 @@ _RUNSPEC_KEYS = {
 _SOLVER_KEYS = {
     "epsilon", "armijo_c", "alpha_min", "lambda_init", "lambda_decrease",
     "lambda_increase", "perturbation_rel", "perturbation_abs", "max_iterations",
-    "max_p_norm", "fd_refresh_period",
+    "fd_refresh_period",
 }
 _MODEL_ANALYTIC_KEYS = {"kind", "degree"}
 _MODEL_EXTERNAL_KEYS = {"command", "working_dir", "timeout"}
@@ -153,9 +153,8 @@ def _parse_solver(raw: dict) -> SolverConfig:
     kwargs = {}
     for key in _SOLVER_KEYS & set(raw):
         value = raw[key]
-        nullable = key in ("fd_refresh_period", "max_p_norm")
         if value is None:
-            if not nullable:
+            if key != "fd_refresh_period":
                 raise ConfigError(f"{key} must not be null", key=key)
             kwargs[key] = None
         elif key in ("max_iterations", "fd_refresh_period"):

@@ -48,6 +48,49 @@ def test_all_nan_evaluator_fails_on_first_evaluation():
     assert "bootstrap" in report.failure_reason
 
 
+def test_bootstrap_failure_reports_the_weighted_objective():
+    calls = []
+
+    def ev(beta):
+        calls.append(1)
+        if len(calls) == 2:
+            raise EvaluatorFailure("simulator crashed")
+        return np.array([1.0, 2.0, 3.0])
+
+    report = optimize(ev, beta0=[1.0, 2.0], weights=[10.0, 10.0, 10.0])
+    assert report.status is RunStatus.EvaluatorFailure
+    assert report.evaluation_count == 2
+    assert report.final_objective == 70.0
+    with pytest.raises(ConfigError):
+        optimize(ev, beta0=[1.0, 2.0], weights=[10.0, -1.0, 10.0])
+
+
+def test_stagnant_steps_are_skipped_and_the_run_goes_on(monkeypatch, caplog):
+    # beta stays on its upper bound 0 while the optimum is at 5: each step
+    # halves the distance to the bound, until its squared norm falls below
+    # STAGNANT_SNORM2 and the secant updates are skipped.
+    pairs, update = [], core.broyden_update
+
+    def spy_update(b, s, t, **kwargs):
+        pairs.append((s, t))
+        return update(b, s, t, **kwargs)
+
+    monkeypatch.setattr(core, "broyden_update", spy_update)
+    report, state = optimize_with_state(
+        lambda b: np.array([b[0] - 5.0, 2 * (b[0] - 5.0)]),
+        beta0=Parameters([0.0], upper=[0.0]), config=SolverConfig(max_iterations=60))
+    assert report.status is RunStatus.MaxIterations
+    assert len(report.iterations) == 60 and report.evaluation_count == 62
+    skips = [msg for msg in caplog.messages if "secant update skipped" in msg]
+    assert skips and skips[-1].startswith("iteration 60: secant update skipped (")
+    # 60 updates and the fold of the final pair, which is itself stagnant.
+    assert len(pairs) == 61
+    s, t = [(s, t) for s, t in pairs if s @ s >= core.STAGNANT_SNORM2][-1]
+    assert float(pairs[-1][0] @ pairs[-1][0]) < core.STAGNANT_SNORM2
+    assert np.array_equal(state.last_step, s)
+    assert np.array_equal(state.last_residual_change, t)
+
+
 def test_default_start_is_zero():
     seen = []
 

@@ -4,7 +4,11 @@ Runs every problem of one benchmark workload (``corpus``, ``tall`` or
 ``wide``, as generated by ``bench/workloads.py``) through
 ``broydenfit.optimize`` once at each checkout and compares the two
 ``RunReport``s of each problem, every field and every iteration record,
-bit for bit.  Prints how many problems differ (and the first few names),
+bit for bit.  Each problem is also run through
+``broydenfit.optimize_with_state(..., diagnostics=True)``; its final secant
+state (a SHA-256 of ``broyden``, ``last_step`` and
+``last_residual_change``) and the condition estimate of every record are
+compared too.  Prints how many problems differ (and the first few names),
 then per side the totals of each status, of evaluator calls and of failed
 fits, where a fit fails as in the benchmark: it did not converge, or its
 parameters lie more than ``workloads.TOLERANCE`` from the reference
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +59,16 @@ def _report_data(report) -> dict:
     }
 
 
+def _state_data(report, state) -> dict:
+    """The secant state of a diagnostics run as a digest, with its records'
+    condition estimates."""
+    digest = hashlib.sha256()
+    for x in (state.broyden, state.last_step, state.last_residual_change):
+        digest.update(b"None" if x is None else repr(x.shape).encode() + x.tobytes())
+    return {"state_sha256": digest.hexdigest(),
+            "conditions": [rec.condition for rec in report.iterations]}
+
+
 def child(checkout: str, bench: str, workload: str) -> None:
     """Fit every problem with the checkout's package; JSON lines on stdout."""
     src = os.path.join(os.path.abspath(checkout), "src")
@@ -65,8 +80,11 @@ def child(checkout: str, bench: str, workload: str) -> None:
         raise SystemExit(f"error: imported broydenfit from {broydenfit.__file__}")
     for p in workloads.build(workload, SEED, workdir=None):
         call = dict(p.call)
-        report = broydenfit.optimize(call.pop("evaluator"), **call)
-        print(json.dumps([p.name, _report_data(report)]), flush=True)
+        evaluator = call.pop("evaluator")
+        data = _report_data(broydenfit.optimize(evaluator, **call))
+        data.update(_state_data(*broydenfit.optimize_with_state(
+            evaluator, **call, diagnostics=True)))
+        print(json.dumps([p.name, data]), flush=True)
 
 
 def run_side(checkout: str, bench: str, workload: str) -> dict[str, str]:
