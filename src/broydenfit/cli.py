@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataio, external, fdiff
 from .core import RunStatus, optimize, optimize_with_state
-from .errors import BroydenFitError, ConfigError, EvaluatorFailure, ParseError
+from .errors import BroydenFitError, ConfigError, EvaluatorFailure
 
 STATUS_EXIT = {
     RunStatus.Converged: 0,
@@ -167,16 +167,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EvaluatorFailure as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return 3
-    except BroydenFitError as exc:
+    except (BroydenFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ iteration it absorbs the pair or refreshes B, then assembles the solve.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import logging
 from dataclasses import dataclass
@@ -67,6 +68,19 @@ def _as_bound(bound, n: int, default: float) -> np.ndarray:
     if arr.shape != (n,):
         raise ConfigError(f"bounds length {arr.shape} does not match n={n}", key="bounds")
     return arr
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` of a record: array fields compare by :func:`numpy.array_equal`,
+    the others by ``x is y or x == y``, as a tuple compare does."""
+    if not isinstance(other, type(self)):
+        return False
+    for f in dataclasses.fields(self):
+        x, y = getattr(self, f.name), getattr(other, f.name)
+        equal = np.array_equal(x, y) if isinstance(x, np.ndarray) else (x is y or x == y)
+        if not equal:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +140,7 @@ class Parameters:
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.lower, self.upper)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Parameters)
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -211,18 +219,7 @@ class IterationRecord:
     armijo_satisfied: bool
     condition: float | None = None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IterationRecord)
-            and self.k == other.k
-            and np.array_equal(self.beta, other.beta)
-            and (self.residual_norm, self.objective, self.lam, self.alpha,
-                 self.p_norm, self.max_rel_change, self.armijo_satisfied,
-                 self.condition)
-            == (other.residual_norm, other.objective, other.lam, other.alpha,
-                other.p_norm, other.max_rel_change, other.armijo_satisfied,
-                other.condition)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(eq=False)
@@ -234,16 +231,7 @@ class RunReport:
     evaluation_count: int
     failure_reason: str | None = None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RunReport)
-            and self.status == other.status
-            and self.final_beta == other.final_beta
-            and self.final_objective == other.final_objective
-            and self.iterations == other.iterations
-            and self.evaluation_count == other.evaluation_count
-            and self.failure_reason == other.failure_reason
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass

@@ -16,9 +16,11 @@ decimal separator, independent of locale.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import typing
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,20 +38,17 @@ from .errors import ConfigError, ParseError
 from .external import ExternalEvaluator, ExternalEvaluatorSpec
 from .models import AnalyticModel, Dataset, DatasetEvaluator, make_model
 
-DATASET_SCHEMA = "broydenfit.dataset/1"
 RUNSPEC_SCHEMA = "broydenfit.runspec/1"
 REPORT_SCHEMA = "broydenfit.report/1"
 
 _RUNSPEC_KEYS = {
     "schema", "model", "dataset", "beta0", "bounds", "n_params", "solver", "weights",
 }
-_SOLVER_KEYS = {
-    "epsilon", "armijo_c", "alpha_min", "lambda_init", "lambda_decrease",
-    "lambda_increase", "perturbation_rel", "perturbation_abs", "max_iterations",
-    "fd_refresh_period",
-}
+# runspec/1 solver keys: the SolverConfig fields, each with the types it takes.
+_SOLVER_TYPES = {name: typing.get_args(hint) or (hint,)
+                 for name, hint in typing.get_type_hints(SolverConfig).items()}
 _MODEL_ANALYTIC_KEYS = {"kind", "degree"}
-_MODEL_EXTERNAL_KEYS = {"command", "working_dir", "timeout"}
+_MODEL_EXTERNAL_KEYS = {f.name for f in dataclasses.fields(ExternalEvaluatorSpec)}
 
 
 def _parse_cell(text: str, line: int, column: str) -> float:
@@ -147,17 +146,17 @@ def _number(obj, key: str) -> float:
 def _parse_solver(raw: dict) -> SolverConfig:
     if not isinstance(raw, dict):
         raise ConfigError("solver must be an object", key="solver")
-    unknown = set(raw) - _SOLVER_KEYS
+    unknown = set(raw) - set(_SOLVER_TYPES)
     if unknown:
         warnings.warn(f"ignoring unknown solver keys: {sorted(unknown)}")
     kwargs = {}
-    for key in _SOLVER_KEYS & set(raw):
-        value = raw[key]
+    for key in _SOLVER_TYPES.keys() & set(raw):
+        value, types = raw[key], _SOLVER_TYPES[key]
         if value is None:
-            if key != "fd_refresh_period":
+            if type(None) not in types:
                 raise ConfigError(f"{key} must not be null", key=key)
             kwargs[key] = None
-        elif key in ("max_iterations", "fd_refresh_period"):
+        elif int in types:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} must be an integer", key=key)
             kwargs[key] = value
@@ -211,6 +210,8 @@ def load_runspec(path) -> RunSpec:
             raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(raw, dict):
         raise ConfigError("run spec must be a JSON object", key="runspec")
+    if raw.get("schema", RUNSPEC_SCHEMA) != RUNSPEC_SCHEMA:
+        raise ConfigError(f"unsupported run-spec schema {raw['schema']!r}", key="schema")
     unknown = set(raw) - _RUNSPEC_KEYS
     if unknown:
         warnings.warn(f"ignoring unknown run-spec keys: {sorted(unknown)}")
@@ -236,10 +237,10 @@ def load_runspec(path) -> RunSpec:
 
     bounds = raw.get("bounds")
     if bounds is not None:
-        if not isinstance(bounds, list) or not all(
+        if not isinstance(bounds, list) or not bounds or not all(
             isinstance(b, list) and len(b) == 2 for b in bounds
         ):
-            raise ConfigError("bounds must be an array of [lower, upper] pairs",
+            raise ConfigError("bounds must be a non-empty array of [lower, upper] pairs",
                               key="bounds")
         bounds = tuple(
             (None if lo is None else _number(lo, "bounds"),
@@ -248,8 +249,9 @@ def load_runspec(path) -> RunSpec:
         )
 
     n_params = raw.get("n_params")
-    if n_params is not None and (isinstance(n_params, bool) or not isinstance(n_params, int)):
-        raise ConfigError("n_params must be an integer", key="n_params")
+    if n_params is not None and (isinstance(n_params, bool) or not isinstance(n_params, int)
+                                 or n_params < 1):
+        raise ConfigError("n_params must be a positive integer", key="n_params")
 
     weights = raw.get("weights", "none")
     if isinstance(weights, dict) and set(weights) == {"uniform"}:
@@ -284,7 +286,6 @@ class RunSetup:
     config: SolverConfig
     weights: np.ndarray | float | None
     model: AnalyticModel | None = None
-    dataset: Dataset | None = None
 
     def close(self):
         if isinstance(self.evaluate, ExternalEvaluator):
@@ -297,75 +298,60 @@ class RunSetup:
         self.close()
 
 
-def _split_bounds(bounds, n: int):
-    if bounds is None:
-        return None, None
-    if len(bounds) != n:
-        raise ConfigError(f"expected {n} bound pairs, got {len(bounds)}", key="bounds")
-    return [lo for lo, _ in bounds], [hi for _, hi in bounds]
-
-
 def prepare_run(spec: RunSpec, base_dir: str | None = None) -> RunSetup:
     """Bind a RunSpec to an evaluator and a starting point.
 
     Relative dataset paths resolve against ``base_dir`` (normally the
-    directory containing the run-spec file).
+    directory containing the run-spec file).  ``beta0``, ``bounds`` and
+    ``n_params``, where given, must agree with the model's parameter count;
+    an external run takes its count from the first of them given.
     """
+    sizes = {
+        "beta0": None if spec.beta0 is None else spec.beta0.size,
+        "bounds": None if spec.bounds is None else len(spec.bounds),
+        "n_params": spec.n_params,
+    }
+    dataset = None
     if spec.is_external:
-        n = spec.n_params
-        if n is None and spec.beta0 is not None:
-            n = spec.beta0.size
-        if n is None and spec.bounds is not None:
-            n = len(spec.bounds)
+        n = next((size for size in sizes.values() if size is not None), None)
         if n is None:
             raise ConfigError(
                 "external runs need beta0, bounds, or n_params to size the problem",
                 key="beta0",
             )
-        lower, upper = _split_bounds(spec.bounds, n)
-        beta0 = Parameters(spec.beta0 if spec.beta0 is not None else np.zeros(n),
-                           lower, upper)
-        weights = None if spec.weights == "none" else spec.weights
-        return RunSetup(
-            evaluate=ExternalEvaluator(spec.model),
-            beta0=beta0,
-            config=spec.solver,
-            weights=weights,
-        )
+    else:
+        path = spec.dataset_path
+        if base_dir is not None and not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        dataset = load_dataset(path)
+        n = spec.model.param_count(dataset.d)
+    for key, size in sizes.items():
+        if size is not None and size != n:
+            raise ConfigError(f"{key} gives {size} parameters but the run has {n}",
+                              key=key)
 
-    path = spec.dataset_path
-    if base_dir is not None and not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    dataset = load_dataset(path)
-    n = spec.model.param_count(dataset.d)
-    if spec.beta0 is not None and spec.beta0.size != n:
-        raise ConfigError(
-            f"beta0 has {spec.beta0.size} entries but the model takes {n}", key="beta0"
-        )
-    lower, upper = _split_bounds(spec.bounds, n)
+    lower, upper = zip(*spec.bounds) if spec.bounds is not None else (None, None)
     beta0 = Parameters(spec.beta0 if spec.beta0 is not None else np.zeros(n),
                        lower, upper)
-    if spec.weights == "none":
-        weights = None
-    elif spec.weights == "column":
-        if dataset.weights is None:
+    weights = None if spec.weights == "none" else spec.weights
+    if weights == "column":
+        weights = dataset.weights
+        if weights is None:
             raise ConfigError("weights='column' but the dataset has no weight column",
                               key="weights")
-        weights = dataset.weights
-    else:
-        weights = spec.weights
-    return RunSetup(
-        evaluate=DatasetEvaluator(spec.model, dataset),
-        beta0=beta0,
-        config=spec.solver,
-        weights=weights,
-        model=spec.model,
-        dataset=dataset,
-    )
+    if dataset is None:
+        return RunSetup(ExternalEvaluator(spec.model), beta0, spec.solver, weights)
+    return RunSetup(DatasetEvaluator(spec.model, dataset), beta0, spec.solver, weights,
+                    model=spec.model)
 
 
 # ---------------------------------------------------------------------------
 # Reports
+#
+# A report/1 object has one key per dataclass field, in field order; only
+# these fields are written under another name.
+_REPORT_KEYS = {"lam": "lambda"}
+_REPORT_FIELDS = {key: name for name, key in _REPORT_KEYS.items()}
 
 TRACE_COLUMNS = (
     "k", "objective", "residual_norm", "lambda", "alpha", "p_norm",
@@ -373,68 +359,55 @@ TRACE_COLUMNS = (
 )
 
 
-def _bound_list(arr: np.ndarray) -> list:
-    return [None if not math.isfinite(v) else v for v in arr.tolist()]
+def _to_data(value):
+    """A report field as JSON data; infinite bounds are written as null."""
+    if dataclasses.is_dataclass(value):
+        return {_REPORT_KEYS.get(f.name, f.name): _to_data(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, list):
+        return [_to_data(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [v if math.isfinite(v) else None for v in value.tolist()]
+    if isinstance(value, RunStatus):
+        return value.value
+    return value
 
 
-def _record_dict(rec: IterationRecord) -> dict:
-    return {
-        "k": rec.k,
-        "beta": rec.beta.tolist(),
-        "residual_norm": rec.residual_norm,
-        "objective": rec.objective,
-        "lambda": rec.lam,
-        "alpha": rec.alpha,
-        "p_norm": rec.p_norm,
-        "max_rel_change": rec.max_rel_change,
-        "armijo_satisfied": rec.armijo_satisfied,
-        "condition": rec.condition,
-    }
+def _from_data(cls, raw: dict):
+    """A ``cls`` from its report/1 object.  A missing key takes the field's
+    default; a field without one makes the report invalid."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = _REPORT_KEYS.get(f.name, f.name)
+        if key in raw:
+            kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(raw[key])
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ParseError(f"report is missing {key!r} of a {cls.__name__}")
+    return cls(**kwargs)
+
+
+# Fields whose report/1 value is not the field value itself.
+_DECODE = {
+    "status": RunStatus,
+    "final_beta": lambda raw: _from_data(Parameters, raw),
+    "iterations": lambda raw: [_from_data(IterationRecord, rec) for rec in raw],
+    "beta": lambda raw: np.asarray(raw, dtype=float),
+}
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "status": report.status.value,
-        "final_beta": {
-            "values": report.final_beta.values.tolist(),
-            "lower": _bound_list(report.final_beta.lower),
-            "upper": _bound_list(report.final_beta.upper),
-        },
-        "final_objective": report.final_objective,
-        "evaluation_count": report.evaluation_count,
-        "failure_reason": report.failure_reason,
-        "iterations": [_record_dict(rec) for rec in report.iterations],
-    }
+    return {"schema": REPORT_SCHEMA, **_to_data(report)}
 
 
 def report_from_dict(raw: dict) -> RunReport:
     if raw.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"unsupported report schema {raw.get('schema')!r}")
-    beta = raw["final_beta"]
-    iterations = [
-        IterationRecord(
-            k=rec["k"],
-            beta=np.asarray(rec["beta"], dtype=float),
-            residual_norm=rec["residual_norm"],
-            objective=rec["objective"],
-            lam=rec["lambda"],
-            alpha=rec["alpha"],
-            p_norm=rec["p_norm"],
-            max_rel_change=rec["max_rel_change"],
-            armijo_satisfied=rec["armijo_satisfied"],
-            condition=rec.get("condition"),
-        )
-        for rec in raw["iterations"]
-    ]
-    return RunReport(
-        status=RunStatus(raw["status"]),
-        final_beta=Parameters(beta["values"], beta["lower"], beta["upper"]),
-        final_objective=raw["final_objective"],
-        iterations=iterations,
-        evaluation_count=raw["evaluation_count"],
-        failure_reason=raw.get("failure_reason"),
-    )
+    return _from_data(RunReport, raw)
+
+
+def _trace_cell(value) -> str:
+    """A csv-trace cell: ``true``/``false``, or the value at full precision."""
+    return ("true" if value else "false") if isinstance(value, bool) else repr(value)
 
 
 def write_report(report: RunReport, path, format: str = "json") -> None:
@@ -448,12 +421,8 @@ def write_report(report: RunReport, path, format: str = "json") -> None:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for rec in report.iterations:
-                writer.writerow([
-                    rec.k, repr(rec.objective), repr(rec.residual_norm),
-                    repr(rec.lam), repr(rec.alpha), repr(rec.p_norm),
-                    repr(rec.max_rel_change),
-                    "true" if rec.armijo_satisfied else "false",
-                ])
+                writer.writerow([_trace_cell(getattr(rec, _REPORT_FIELDS.get(c, c)))
+                                 for c in TRACE_COLUMNS])
     else:
         raise ConfigError(f"unknown report format {format!r}", key="format")
 

@@ -42,7 +42,6 @@ class ExternalEvaluatorSpec:
     command: tuple[str, ...]
     working_dir: str | None = None
     timeout: float = 3600.0
-    protocol_version: int = PROTOCOL_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "command", tuple(self.command))
@@ -51,11 +50,6 @@ class ExternalEvaluatorSpec:
                               key="command")
         if not self.timeout > 0:
             raise ConfigError("timeout must be positive", key="timeout")
-        if self.protocol_version != PROTOCOL_VERSION:
-            raise ConfigError(
-                f"unsupported protocol version {self.protocol_version}",
-                key="protocol_version",
-            )
 
 
 def encode_request(req_id: int, params) -> str:

@@ -11,6 +11,7 @@ from broydenfit import (
     ParseError,
     PolynomialModel,
     RunStatus,
+    SolverConfig,
     optimize,
 )
 from broydenfit.dataio import (
@@ -18,6 +19,7 @@ from broydenfit.dataio import (
     load_runspec,
     prepare_run,
     read_report,
+    report_to_dict,
     write_report,
 )
 
@@ -115,6 +117,19 @@ def test_invalid_epsilon_names_key(tmp_path):
     assert err.value.key == "epsilon"
 
 
+def test_runspec_schema_must_match(tmp_path):
+    write(tmp_path, "d.csv", "x1,y\n0,1\n1,3\n")
+    spec = {"model": {"kind": "linear"}, "dataset": "d.csv"}
+    path = write(tmp_path, "run.json",
+                 json.dumps({"schema": "broydenfit.runspec/1", **spec}))
+    assert isinstance(load_runspec(path).model, LinearModel)
+    path = write(tmp_path, "run.json",
+                 json.dumps({"schema": "broydenfit.runspec/7", **spec}))
+    with pytest.raises(ConfigError) as err:
+        load_runspec(path)
+    assert err.value.key == "schema"
+
+
 def test_model_exclusivity(tmp_path):
     path = write(tmp_path, "run.json", json.dumps(
         {"model": {"kind": "linear", "command": ["prog"]}, "dataset": "d.csv"}
@@ -164,11 +179,13 @@ def test_runspec_bounds_and_uniform_weights(tmp_path):
 
 def test_prepare_run_checks_parameter_count(tmp_path):
     write(tmp_path, "d.csv", "x1,y\n0,1\n1,3\n")
-    path = write(tmp_path, "run.json", json.dumps({
-        "model": {"kind": "linear"}, "dataset": "d.csv", "beta0": [1.0, 2.0, 3.0],
-    }))
-    with pytest.raises(ConfigError):
-        prepare_run(load_runspec(path), base_dir=str(tmp_path))
+    for key, value in (("beta0", [1.0, 2.0, 3.0]), ("bounds", [[0, 1]]), ("n_params", 5)):
+        path = write(tmp_path, "run.json", json.dumps({
+            "model": {"kind": "linear"}, "dataset": "d.csv", key: value,
+        }))
+        with pytest.raises(ConfigError) as err:
+            prepare_run(load_runspec(path), base_dir=str(tmp_path))
+        assert err.value.key == key
 
 
 def test_prepare_external_needs_problem_size(tmp_path):
@@ -182,6 +199,21 @@ def test_prepare_external_needs_problem_size(tmp_path):
     ))
     setup = prepare_run(load_runspec(path))
     assert np.array_equal(setup.beta0.values, [0.0, 0.0])
+    for size in ({"n_params": 3, "beta0": [0, 0]},
+                 {"n_params": 3, "bounds": [[0, 1], [0, 1]]}):
+        path = write(tmp_path, "run3.json", json.dumps(
+            {"model": {"command": ["prog"]}, **size}
+        ))
+        with pytest.raises(ConfigError) as err:
+            prepare_run(load_runspec(path))
+        assert err.value.key == "n_params"
+    for bad in ({"n_params": 0}, {"bounds": []}):
+        path = write(tmp_path, "run4.json", json.dumps(
+            {"model": {"command": ["prog"]}, **bad}
+        ))
+        with pytest.raises(ConfigError) as err:
+            load_runspec(path)
+        assert err.value.key in bad
 
 
 def test_weights_column_requires_weight_column(tmp_path):
@@ -200,10 +232,35 @@ def run_linear():
 
 
 def test_report_json_round_trip(tmp_path):
-    report = run_linear()
+    ev = DatasetEvaluator(LinearModel(), linear_dataset())
+    reports = [
+        run_linear(),
+        optimize(ev, n_params=2, diagnostics=True),
+        optimize(ev, n_params=2, config=SolverConfig(fd_refresh_period=1)),
+    ]
+    assert all(rec.condition is not None for rec in reports[1].iterations)
     path = tmp_path / "report.json"
-    write_report(report, path, format="json")
-    assert read_report(path) == report
+    for report in reports:
+        write_report(report, path, format="json")
+        assert read_report(path) == report
+
+
+def test_report_missing_keys(tmp_path):
+    report = run_linear()
+    raw = report_to_dict(report)
+    for rec in raw["iterations"]:
+        del rec["condition"]
+    del raw["failure_reason"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    assert read_report(path) == report  # both default to None
+    path.write_text(json.dumps({"schema": "broydenfit.report/1", "status": "Converged"}))
+    with pytest.raises(ParseError, match="final_beta"):
+        read_report(path)
+    del raw["iterations"][0]["lambda"]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match="lambda"):
+        read_report(path)
 
 
 def test_failed_report_round_trip(tmp_path):

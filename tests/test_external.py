@@ -221,8 +221,6 @@ def test_spec_validation():
         ExternalEvaluatorSpec(command=())
     with pytest.raises(ConfigError):
         ExternalEvaluatorSpec(command=("x",), timeout=0.0)
-    with pytest.raises(ConfigError):
-        ExternalEvaluatorSpec(command=("x",), protocol_version=2)
 
 
 def test_external_jacobian_of_echo_model_is_identity():

@@ -1,18 +1,28 @@
 """Compare the fits of two checkouts of broydenfit, problem by problem.
 
-Runs every problem of one benchmark workload (``corpus``, ``tall`` or
-``wide``, as generated by ``bench/workloads.py``) through
-``broydenfit.optimize`` once at each checkout and compares the two
-``RunReport``s of each problem, every field and every iteration record,
-bit for bit.  Each problem is also run through
-``broydenfit.optimize_with_state(..., diagnostics=True)``; its final secant
-state (a SHA-256 of ``broyden``, ``last_step`` and
+Runs every problem of one benchmark workload (``corpus``, ``tall``,
+``wide`` or ``external``, as generated by ``bench/workloads.py``) once at
+each checkout and compares the results of each problem.
+
+In-process workloads (``corpus``, ``tall``, ``wide``) fit each problem
+through ``broydenfit.optimize`` and compare the two ``RunReport``s, every
+field and every iteration record, bit for bit.  Each problem is also run
+through ``broydenfit.optimize_with_state(..., diagnostics=True)``; its final
+secant state (a SHA-256 of ``broyden``, ``last_step`` and
 ``last_residual_change``) and the condition estimate of every record are
-compared too.  Prints how many problems differ (and the first few names),
-then per side the totals of each status, of evaluator calls and of failed
-fits, where a fit fails as in the benchmark: it did not converge, or its
-parameters lie more than ``workloads.TOLERANCE`` from the reference
-solution.
+compared too.
+
+The ``external`` workload fits each problem end to end through
+``broydenfit.cli.main``, with a ``serve-model`` child running the same
+checkout's package, in a temporary directory: once with ``-v`` writing the
+JSON report, once writing the csv-trace.  It compares the report files as
+JSON data (``json.load``, so key order does not matter), and the csv-trace,
+the ``-v`` lines, the summary line and the exit status byte for byte.
+
+Prints how many problems differ (and the first few names), then per side
+the totals of each status, of evaluator calls and of failed fits, where a
+fit fails as in the benchmark: it did not converge, or its parameters lie
+more than ``workloads.TOLERANCE`` from the reference solution.
 
 Each checkout runs in its own Python subprocess, with its own ``src/`` on
 the path and ``OPENBLAS_NUM_THREADS=1``.  Both sides fit the problems that
@@ -22,21 +32,24 @@ written.
 Usage:
     python tools/trajectory_diff.py PARENT_DIR CHANGE_DIR --workload corpus
 
-Exit status: 0 when every report is equal, 1 when some differ.
+Exit status: 0 when every problem is equal, 1 when some differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
-WORKLOADS = ("corpus", "tall", "wide")
+WORKLOADS = ("corpus", "tall", "wide", "external")
 SEED = 0  # the seed only orders the problems; they are matched by name
 SHOWN = 10
 
@@ -69,15 +82,47 @@ def _state_data(report, state) -> dict:
             "conditions": [rec.condition for rec in report.iterations]}
 
 
+def _cli_data(cli, argv: list[str]) -> dict:
+    """One ``broydenfit`` command line's exit status, summary and ``-v`` lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _external_data(cli, p, workloads) -> dict:
+    """Fit one external problem through the command line, twice: with ``-v``
+    and a JSON report, then with a csv-trace."""
+    report_path = workloads.report_path(p)
+    trace_path = report_path[:-len(".json")] + ".csv"
+    verbose = _cli_data(cli, p.argv + ["-v"])
+    traced = _cli_data(cli, p.argv[:p.argv.index("--out")]
+                       + ["--out", trace_path, "--format", "csv"])
+    with open(report_path) as fh:
+        report = json.load(fh)
+    with open(trace_path, newline="") as fh:
+        trace = fh.read()
+    return {"status": report["status"], "beta": report["final_beta"]["values"],
+            "evaluations": report["evaluation_count"], "report": report,
+            "trace": trace, "verbose": verbose, "traced": traced}
+
+
 def child(checkout: str, bench: str, workload: str) -> None:
     """Fit every problem with the checkout's package; JSON lines on stdout."""
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path[:0] = [src, bench]
     import broydenfit
+    import broydenfit.cli
     import workloads
 
     if not os.path.abspath(broydenfit.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: imported broydenfit from {broydenfit.__file__}")
+    if workload == "external":
+        with tempfile.TemporaryDirectory() as workdir:
+            for p in workloads.build(workload, SEED, workdir):
+                data = _external_data(broydenfit.cli, p, workloads)
+                print(json.dumps([p.name, data]), flush=True)
+        return
     for p in workloads.build(workload, SEED, workdir=None):
         call = dict(p.call)
         evaluator = call.pop("evaluator")
@@ -88,9 +133,10 @@ def child(checkout: str, bench: str, workload: str) -> None:
 
 
 def run_side(checkout: str, bench: str, workload: str) -> dict[str, str]:
-    """Each problem's report, as its JSON text, from one checkout."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env.pop("PYTHONPATH", None)
+    """Each problem's results, as JSON text with sorted keys, from one checkout."""
+    # serve-model children import the package from the same checkout.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", checkout,
          "--bench", bench, "--workload", workload],
@@ -101,7 +147,7 @@ def run_side(checkout: str, bench: str, workload: str) -> dict[str, str]:
     reports = {}
     for line in out.stdout.splitlines():
         name, data = json.loads(line)
-        reports[name] = json.dumps(data)
+        reports[name] = json.dumps(data, sort_keys=True)
     return reports
 
 
