@@ -4,9 +4,9 @@ The optimizer minimizes half the (optionally weighted) sum of squared
 residuals using damped Gauss-Newton steps.  The residual Jacobian is never
 computed by the model: it is approximated by a rectangular secant matrix
 that starts as a unit diagonal pattern and absorbs one rank-one update per
-accepted step.  Steps are globalized by a halving line search that enforces
-a sufficient-decrease condition on the residual norm, and the damping
-factor is adapted multiplicatively on acceptance or rejection.
+accepted step.  Steps are globalized by a safeguarded quadratic backtracking
+line search that enforces a sufficient-decrease condition on the objective,
+and the damping factor is adapted multiplicatively on acceptance or rejection.
 
 Only residual evaluations are required of the model: a callable mapping a
 parameter vector of length n to a residual vector of fixed length m >= n.
@@ -428,17 +428,17 @@ def armijo_holds(
     alpha: float,
     c: float,
 ) -> bool:
-    """Sufficient-decrease test on the residual norm:
-    ``norm_new <= norm_old + c * alpha * slope``.
+    """Sufficient-decrease test on the objective phi = 0.5 * ||r||_W^2:
+    ``0.5 * norm_new**2 <= 0.5 * norm_old**2 + c * alpha * slope``.
 
-    ``slope`` is the least-squares gradient ``B^T W r_old`` projected on the
-    direction; :func:`optimize` takes it as ``-(rhs @ p)`` from the right-hand
-    side of the direction solve, once per direction.  It is negative for
-    descent directions, so acceptance demands a strict decrease of the norm.
     Both norms are :func:`weighted_norm` values (the metric the direction
-    solve targets).
+    solve targets).  ``slope`` is phi's derivative along the direction,
+    ``(B^T W r_old) @ p``; :func:`optimize` takes it as ``-(rhs @ p)`` from
+    the right-hand side of the direction solve, once per direction.  It is
+    negative for descent directions, so acceptance demands a strict
+    decrease, and the test does not depend on the unit of the residuals.
     """
-    return norm_new <= norm_old + c * alpha * slope
+    return 0.5 * norm_new * norm_new <= 0.5 * norm_old * norm_old + c * alpha * slope
 
 
 def max_relative_change(p: np.ndarray, values: np.ndarray) -> float:
@@ -468,14 +468,18 @@ def backtrack(
     slope: float,
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, bool]:
-    """Halving line search along ``p`` from ``beta``.
+    """Safeguarded quadratic backtracking along ``p`` from ``beta``.
 
-    ``slope`` is the gradient of the least-squares objective at ``r_old``
-    projected on ``p`` (see :func:`armijo_holds`); the norm of ``r_old`` is
-    computed once here and shared by every trial.
+    ``slope`` is the derivative of phi = 0.5 * ||r||_W^2 at ``r_old`` along
+    ``p`` (see :func:`armijo_holds`); the norm of ``r_old`` is computed once
+    here and shared by every trial.
 
-    Starts from the bound-constrained full step and halves until the
-    sufficient-decrease test passes or the next halving would drop to the
+    Starts from the bound-constrained full step.  A failed trial at
+    ``alpha`` is followed by the minimiser of the quadratic through phi(0),
+    ``slope`` and phi(alpha), clamped to ``[0.1 * alpha, 0.5 * alpha]``
+    (Dennis & Schnabel 1983, Alg. A6.3.1), or by ``0.5 * alpha`` when that
+    quadratic has no positive curvature or phi(alpha) is not finite.  The
+    search stops when the test passes or the next step would drop to the
     ``alpha_min`` floor.  Returns ``(alpha, residuals, accepted)``; when no
     trial passes, the lowest-norm trial is returned with ``accepted=False``
     (ties keep the larger step) and the caller is expected to raise the
@@ -497,14 +501,17 @@ def backtrack(
             try:
                 r_new = evaluate(trial)
             except EvaluatorFailure as exc:
-                last_failure = exc
+                last_failure, norm = exc, np.inf
             else:
                 norm = weighted_norm(r_new, weights)
                 if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
                     return alpha, r_new, True
                 if best is None or norm < best[0]:
                     best = (norm, alpha, r_new)
-            alpha *= 0.5
+            # alpha**2 times the quadratic's curvature; inf or NaN without a finite phi
+            curv = 0.5 * (norm * norm - norm_old * norm_old) - slope * alpha
+            shrink = -0.5 * slope * alpha / curv if 0.0 < curv < np.inf else 0.5
+            alpha *= min(max(shrink, 0.1), 0.5)
             if alpha <= config.alpha_min:
                 break
     if best is None:
@@ -554,14 +561,15 @@ class _SecantJacobian:
         the right-hand side at residuals ``r``; a stagnant step is skipped,
         with a warning naming iteration ``k``."""
         (s, t), self.pending, self.rhs = self.pending, None, None
-        if self.since_exact == GRAM_RECOMPUTE_PERIOD - 1:
-            self.gram = None  # recomputed by system() instead of updated, even on a skip
+        # Recompute due: an update leaves the Gram matrix to system(); a skip keeps it.
+        gram = None if self.since_exact == GRAM_RECOMPUTE_PERIOD - 1 else self.gram
         try:
-            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=self.gram,
+            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=gram,
                                          weights=self.weights, residuals=r)
         except StagnantStep as exc:
             logger.warning("iteration %d: secant update skipped (%s)", k, exc)
             return "skipped"
+        self.gram = gram
         self.last = (s, t)
         self.since_exact += 1
         return "updated"
@@ -640,10 +648,11 @@ def optimize(
 
     The run bootstraps with two evaluations (the start and a small
     perturbation of it), then iterates: secant update of the Jacobian
-    approximation, damped direction solve, halving line search, damping
-    adaptation, convergence test.  With ``fd_refresh_period`` set in the
-    config, the secant matrix is periodically replaced by a finite-difference
-    Jacobian (``fd_config`` controls scheme and step sizes).
+    approximation, damped direction solve, safeguarded quadratic backtracking
+    line search, damping adaptation, convergence test.  With
+    ``fd_refresh_period`` set in the config, the secant matrix is periodically
+    replaced by a finite-difference Jacobian (``fd_config`` controls scheme
+    and step sizes).
 
     Returns a :class:`RunReport`; evaluator problems surface as
     ``status=EvaluatorFailure`` rather than an exception, and normal

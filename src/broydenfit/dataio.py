@@ -182,9 +182,9 @@ def _parse_model(raw: dict):
         command = raw.get("command")
         if not isinstance(command, list) or not all(isinstance(c, str) for c in command):
             raise ConfigError("command must be a list of strings", key="command")
-        kwargs = {"command": tuple(command)}
-        if "working_dir" in raw:
-            kwargs["working_dir"] = raw["working_dir"]
+        kwargs = {"command": tuple(command), "working_dir": raw.get("working_dir")}
+        if not isinstance(kwargs["working_dir"], (str, type(None))):
+            raise ConfigError("working_dir must be a string", key="working_dir")
         if "timeout" in raw:
             kwargs["timeout"] = _number(raw["timeout"], "timeout")
         return ExternalEvaluatorSpec(**kwargs)
@@ -375,12 +375,15 @@ def _to_data(value):
 
 def _from_data(cls, raw: dict):
     """A ``cls`` from its report/1 object.  A missing key takes the field's
-    default; a field without one makes the report invalid."""
+    default; one without a default, or a value that does not decode, fails."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = _REPORT_KEYS.get(f.name, f.name)
         if key in raw:
-            kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(raw[key])
+            try:
+                kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"invalid {key!r} of a {cls.__name__}: {exc}") from exc
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ParseError(f"report is missing {key!r} of a {cls.__name__}")
     return cls(**kwargs)
@@ -400,6 +403,8 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_from_dict(raw: dict) -> RunReport:
+    if not isinstance(raw, dict):
+        raise ParseError("report must be a JSON object")
     if raw.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"unsupported report schema {raw.get('schema')!r}")
     return _from_data(RunReport, raw)

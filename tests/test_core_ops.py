@@ -306,6 +306,31 @@ def test_secant_jacobian_skip_leaves_b_and_gram_untouched(weights, caplog):
 
 
 @pytest.mark.parametrize("weights", [None, "random"])
+def test_secant_jacobian_skip_at_recompute_point_keeps_gram(weights):
+    # A skip where the next update would recompute the Gram matrix keeps
+    # it: B did not change.  The next successful update drops it.
+    jac, rng = _secant_jacobian(6, 2, weights)
+    r = rng.standard_normal(6)
+    k = 0
+    while jac.since_exact < GRAM_RECOMPUTE_PERIOD - 1:
+        k += 1
+        jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
+        assert jac.absorb(r, k) == "updated"
+        jac.system(r, 0.1)
+    gram, before = jac.gram, jac.gram.copy()
+    jac.pending = (np.full(2, 1e-16), rng.standard_normal(6))
+    assert jac.absorb(r, k + 1) == "skipped"
+    assert jac.gram is gram and np.array_equal(gram, before)
+    assert jac.since_exact == GRAM_RECOMPUTE_PERIOD - 1
+    jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
+    assert jac.absorb(r, k + 2) == "updated" and jac.gram is None
+    got = jac.system(r, 0.1)
+    want = assemble_lm_system(jac.b, r, 0.1, jac.weights)
+    assert jac.since_exact == 0
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("weights", [None, "random"])
 def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
     # The Gram matrix is computed afresh after the first update and after
     # every GRAM_RECOMPUTE_PERIOD-th update since; there system() assembles
@@ -436,13 +461,22 @@ def test_armijo_no_decrease_rejected():
 
 
 def test_armijo_hand_bound():
-    # bound = sqrt(2) + 0.5 * 1 * (-2) = sqrt(2) - 1
+    # 0.5 * bound^2 = 0.5 * 2 + 0.25 * 1 * (-2) = 0.5, so bound = 1
     # (r_old = (1, 1), B = I, p = (-1, -1): slope -2)
-    bound = math.sqrt(2.0) - 1.0
+    bound = 1.0
     below = bound - 1e-9
     above = bound + 1e-9
-    assert armijo_holds(math.sqrt(2.0), below, -2.0, 1.0, 0.5)
-    assert not armijo_holds(math.sqrt(2.0), above, -2.0, 1.0, 0.5)
+    assert armijo_holds(math.sqrt(2.0), below, -2.0, 1.0, 0.25)
+    assert not armijo_holds(math.sqrt(2.0), above, -2.0, 1.0, 0.25)
+
+
+def test_armijo_does_not_depend_on_the_residual_unit():
+    # The same trial, with residuals in units 1e-6 to 1e8 times as large:
+    # norms scale by u and the slope, a derivative of 0.5 * ||r||^2, by u^2.
+    for unit in (1e-6, 1.0, 1e4, 1e8):
+        assert armijo_holds(math.sqrt(2.0) * unit, 0.9 * unit, -2.0 * unit**2, 1.0, 0.25)
+        assert not armijo_holds(math.sqrt(2.0) * unit, 1.1 * unit, -2.0 * unit**2,
+                                1.0, 0.25)
 
 
 # --- backtracking -----------------------------------------------------------
@@ -464,37 +498,76 @@ def test_backtrack_full_step_one_evaluation():
     assert np.array_equal(r_new, [0.1, 0.0])
 
 
+def _trial_points(fn):
+    """An evaluator of ``fn`` that records the first coordinate of each trial
+    point, which is -alpha for the setup above."""
+    seen = []
+
+    def ev(point):
+        seen.append(-point[0])
+        return fn(point)
+
+    return CountingEvaluator(ev), seen
+
+
 def test_backtrack_half_step_two_evaluations():
     beta, p, r_old, slope = _search_setup()
 
     def fn(point):
-        # Full step lands at (-1, -1); the halved one at (-0.5, -0.5).
-        return np.array([5.0, 0.0]) if point[0] == -1.0 else np.array([0.1, 0.0])
+        # The full step leaves the norm unchanged: the quadratic through
+        # phi(0) = 1, phi'(0) = -2 and phi(1) = 1 is least at alpha = 0.5.
+        return np.array([1.0, 1.0]) if point[0] == -1.0 else np.array([0.1, 0.0])
 
-    ev = CountingEvaluator(fn)
+    ev, seen = _trial_points(fn)
     alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (0.5, True)
-    assert ev.count == 2
+    assert ev.count == 2 and seen == [1.0, 0.5]
 
 
-def expected_trial_alphas(alpha0=1.0, alpha_min=1e-4):
-    alphas = [alpha0]
-    while alphas[-1] * 0.5 > alpha_min:
-        alphas.append(alphas[-1] * 0.5)
-    return alphas
+@pytest.mark.parametrize("full_step, c, second", [
+    ([5.0, 0.0], 1e-4, 0.1),  # minimiser 2/27, clamped up to 0.1 * alpha
+    ([1.5, 0.0], 1e-4, 8.0 / 17.0),  # minimiser inside the clamp
+    ([1.0, 0.0], 0.5, 0.5),  # minimiser 2/3, clamped down to 0.5 * alpha
+], ids=["low-clamp", "interior", "high-clamp"])
+def test_backtrack_quadratic_step_is_clamped(full_step, c, second):
+    # phi(1) = 0.5 * ||full_step||^2 fails the test; the next trial is the
+    # minimiser 1 / (phi(1) + 1) of 1 - 2 a + (phi(1) + 1) a^2.
+    beta, p, r_old, slope = _search_setup()
+
+    def fn(point):
+        return np.array(full_step) if point[0] == -1.0 else np.array([0.0, 0.0])
+
+    ev, seen = _trial_points(fn)
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(armijo_c=c), ev, r_old, slope)
+    assert ok and alpha == pytest.approx(second, rel=1e-15)
+    assert seen[0] == 1.0 and len(seen) == 2
 
 
 def test_backtrack_floor_counts_and_argmin():
     beta, p, r_old, slope = _search_setup()
     # Trial point is (-alpha, -alpha); norm 3 - alpha always fails the
-    # decrease test and is lowest at the full step.
-    ev = CountingEvaluator(lambda point: np.array([3.0 + point[0], 0.0]))
+    # decrease test and is lowest at the full step.  By hand, the quadratic
+    # through phi(0) = 1, slope -2 and phi(a) = (3 - a)^2 / 2 is least at
+    # a^2 / (3.5 - a + a^2 / 2): 1/3 after 1, 1/29 after 1/3; after 1/29 the
+    # minimiser falls below 0.1 * a, so the clamp steps by tenths until the
+    # next step would reach the 1e-4 floor.
+    ev, seen = _trial_points(lambda point: np.array([3.0 + point[0], 0.0]))
     alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
-    trials = expected_trial_alphas()
-    assert len(trials) == 14  # enumerated independently above
-    assert ev.count == len(trials)
+    assert seen == pytest.approx([1.0, 1 / 3, 1 / 29, 1 / 290, 1 / 2900], rel=1e-12)
+    assert ev.count == 5
     assert not ok
-    assert alpha == 1.0
+    assert alpha == 1.0 and np.array_equal(r_new, [2.0, 0.0])
+
+
+def test_backtrack_halves_without_positive_curvature():
+    # Along an ascent slope +2, phi(1) = 2 lies below phi(0) + slope = 3:
+    # the quadratic through them has no positive curvature, so the step halves.
+    beta, p, r_old, _ = _search_setup()
+    ev, seen = _trial_points(
+        lambda point: np.array([2.0, 0.0]) if point[0] == -1.0 else np.array([0.0, 0.0]))
+    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, 2.0)
+    assert (alpha, ok) == (0.5, True)
+    assert seen == [1.0, 0.5]
 
 
 def test_backtrack_floor_tie_keeps_larger_alpha():
@@ -506,6 +579,7 @@ def test_backtrack_floor_tie_keeps_larger_alpha():
 
 
 def test_backtrack_failed_trial_is_skipped():
+    # A failed trial has no phi to interpolate: the step halves.
     beta, p, r_old, slope = _search_setup()
 
     def fn(point):
@@ -532,6 +606,7 @@ def test_backtrack_all_trials_failing_propagates():
 def test_backtrack_overflowing_trial_norm_is_rejected_silently():
     beta, p, r_old, slope = _search_setup()
     huge = np.array([1e200, 1e200])  # finite, but its squared norm overflows
+    # An infinite phi has no quadratic to interpolate: the step halves.
     with pytest.warns(RuntimeWarning):
         assert weighted_norm(huge) == np.inf
 

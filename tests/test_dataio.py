@@ -216,6 +216,21 @@ def test_prepare_external_needs_problem_size(tmp_path):
         assert err.value.key in bad
 
 
+def test_external_working_dir_must_be_a_string(tmp_path):
+    for working_dir in ("sub", None):
+        path = write(tmp_path, "run.json", json.dumps(
+            {"model": {"command": ["true"], "working_dir": working_dir}, "n_params": 1}
+        ))
+        assert load_runspec(path).model.working_dir == working_dir
+    for bad in (5, ["sub"]):
+        path = write(tmp_path, "run.json", json.dumps(
+            {"model": {"command": ["true"], "working_dir": bad}, "n_params": 1}
+        ))
+        with pytest.raises(ConfigError) as err:
+            load_runspec(path)
+        assert err.value.key == "working_dir"
+
+
 def test_weights_column_requires_weight_column(tmp_path):
     write(tmp_path, "d.csv", "x1,y\n0,1\n1,3\n")
     path = write(tmp_path, "run.json", json.dumps({
@@ -260,6 +275,26 @@ def test_report_missing_keys(tmp_path):
     del raw["iterations"][0]["lambda"]
     path.write_text(json.dumps(raw))
     with pytest.raises(ParseError, match="lambda"):
+        read_report(path)
+
+
+def test_report_malformed_values(tmp_path):
+    path = tmp_path / "report.json"
+    raw = report_to_dict(run_linear())
+    path.write_text(json.dumps({**raw, "status": "Bogus"}))
+    with pytest.raises(ParseError, match="status"):
+        read_report(path)
+    for bad in ({"final_beta": 5}, {"iterations": [1]}, {"iterations": 2}):
+        path.write_text(json.dumps({**raw, **bad}))
+        with pytest.raises(ParseError, match=next(iter(bad))):
+            read_report(path)
+
+
+@pytest.mark.parametrize("top", [[1], "report", 3, None])
+def test_report_must_be_an_object(tmp_path, top):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ParseError, match="JSON object"):
         read_report(path)
 
 

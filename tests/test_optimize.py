@@ -18,9 +18,9 @@ from broydenfit import (
 from broydenfit import core, fdiff
 from broydenfit.fdiff import fd_jacobian
 from broydenfit.core import LAMBDA_CAP
-from broydenfit.models import Dataset
+from broydenfit.models import Dataset, ExponentialDecayModel
 
-from conftest import CountingEvaluator, analytic_jacobian, linear_dataset
+from conftest import CountingEvaluator, analytic_jacobian, decay_dataset, linear_dataset
 
 
 def test_linear_exact_fit_from_zero_start():
@@ -143,6 +143,28 @@ def test_length_change_mid_run_fails_with_category():
     report = optimize(shrinking, n_params=1)
     assert report.status is RunStatus.EvaluatorFailure
     assert "length" in report.failure_reason
+
+
+def _scaled_decay_fit(scale):
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    return optimize(lambda beta: scale * ev(beta), [1.0, 1.0])
+
+
+_SMALL_SCALE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: the eye(m, n) start assumes a unit Jacobian")
+
+
+@pytest.mark.parametrize("k", [pytest.param(k, marks=_SMALL_SCALE) for k in range(-6, -1)]
+                         + list(range(-1, 9)))
+def test_fit_does_not_depend_on_the_residual_unit(k):
+    # Residuals in a unit 10^k times as large have the same least-squares
+    # answer; the sufficient-decrease test must not see the unit.
+    unscaled = _scaled_decay_fit(1.0)
+    assert unscaled.status is RunStatus.Converged
+    assert np.allclose(unscaled.final_beta.values, [2.5, 1.3], atol=1e-3)
+    report = _scaled_decay_fit(10.0**k)
+    assert report.status is RunStatus.Converged
+    assert np.max(np.abs(report.final_beta.values - unscaled.final_beta.values)) <= 1e-2
 
 
 def test_line_search_floor_after_damping_cap():
