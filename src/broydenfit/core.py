@@ -17,6 +17,13 @@ upkeep of its Gram matrix and the right-hand side of the next solve.
 The driver keeps that state in one object, ``_SecantJacobian``: B, its Gram
 matrix, the right-hand side and the step pair waiting to be absorbed.  Each
 iteration it absorbs the pair or refreshes B, then assembles the solve.
+
+Weights enter once, at the residual boundary: the run's evaluator returns
+whitened residuals ``sqrt(w) * r``, whose plain least-squares problem is the
+weighted one, and B starts as ``eye(m, n)`` with ``sqrt(w)``-scaled rows.
+The secant update, the normal equations and the line search never see W;
+only the reported ``SolverState`` is un-whitened.  Unit weights give
+``sqrt(1.0) = 1.0`` and so reproduce an unweighted run bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ LAMBDA_CAP = 1e12
 # Squared step norms below this are treated as stagnation in the secant update.
 STAGNANT_SNORM2 = 1e-30
 
-# The driver updates B^T W B along with B, and recomputes it exactly after
+# The driver updates B^T B along with B, and recomputes it exactly after
 # this many secant updates to bound its round-off drift.
 GRAM_RECOMPUTE_PERIOD = 10
 
@@ -252,32 +259,16 @@ class SolverState:
 # Elementary operations
 
 
-def objective_value(r: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Half the (weighted) sum of squared residuals.
-
-    Unit weights reproduce the unweighted value bit for bit (both branches
-    evaluate the same dot product).
-    """
+def objective_value(r: np.ndarray) -> float:
+    """Half the sum of squared residuals."""
     r = np.asarray(r, dtype=float)
-    if weights is None:
-        return 0.5 * float(r @ r)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != r.shape:
-        raise ConfigError(
-            f"weights shape {w.shape} does not match residuals shape {r.shape}",
-            key="weights",
-        )
-    return 0.5 * float((w * r) @ r)
+    return 0.5 * float(r @ r)
 
 
-def weighted_norm(r: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """sqrt(sum w_i r_i^2); the plain 2-norm when weights are absent.
-
-    Both branches share the same dot-product evaluation, so unit weights
-    reproduce the unweighted value bit for bit.
-    """
-    rr = float(r @ r) if weights is None else float((weights * r) @ r)
-    return float(np.sqrt(rr))
+def weighted_norm(r: np.ndarray) -> float:
+    """The 2-norm of whitened residuals ``sqrt(w) * r``, which is the
+    weighted norm ``sqrt(sum w_i r_i^2)`` of the raw residuals."""
+    return float(np.sqrt(float(r @ r)))
 
 
 def _perturbed_coordinate(v: float, lo: float, hi: float, rel: float, ab: float) -> float:
@@ -307,8 +298,7 @@ def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
 
 def broyden_update(
     b: np.ndarray, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
-    gram: np.ndarray | None = None, weights: np.ndarray | None = None,
-    residuals: np.ndarray | None = None,
+    gram: np.ndarray | None = None, residuals: np.ndarray | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Rank-one secant update: B + u s^T with u = (t - B s) / ||s||^2.
 
@@ -318,16 +308,16 @@ def broyden_update(
     BLAS ``dger`` adds ``u s^T`` with fused multiply-adds, so the result is
     within an ulp or two of ``b + np.outer(u, s)``, not equal to it.
 
-    A ``gram`` holding ``B^T W B`` (``W = diag(weights)``, or the identity)
-    is updated in place to the new matrix's product,
-    ``gram + (v s^T + s v^T) + (u^T W u) s s^T`` with ``v = B^T W u``;
+    A ``gram`` holding ``B^T B`` is updated in place to the new matrix's
+    product, ``gram + (v s^T + s v^T) + (u^T u) s s^T`` with ``v = B^T u``;
     summing the symmetric pair first keeps ``gram`` exactly symmetric.
-    Given ``residuals`` r, it returns ``(out, rhs)``, ``rhs = -(B'^T W r)``
-    of the updated B' for :func:`assemble_lm_system`.  It is all one pass in
+    Given ``residuals`` r, it returns ``(out, rhs)``, ``rhs = -(B'^T r)`` of
+    the updated B' for :func:`assemble_lm_system`.  It is all one pass in
     row blocks (``SECANT_BLOCK_ELEMENTS``): a block gives its rows of ``u``
     and its share of ``v``, takes its rows of the update and then its share
     of ``rhs`` while in cache.  One block makes the unblocked products;
-    across blocks, ``v``, ``u^T W u`` and ``rhs`` are summed block by block.
+    across blocks, ``v``, ``u^T u`` and ``rhs`` are summed block by block.
+    Weights are not its concern: B and the residuals are whitened ones.
 
     Raises:
         StagnantStep: when ``||s||^2`` is below ``STAGNANT_SNORM2``;
@@ -347,17 +337,15 @@ def broyden_update(
         out[...] = b
     m, n = out.shape
     rows = max(64, SECANT_BLOCK_ELEMENTS // n // 64 * 64)
-    wr = residuals if residuals is None or weights is None else weights * residuals
-    v, g, uwu = None, None, 0.0
+    v, g, uu = None, None, 0.0
     for i in range(0, m, rows):
-        bi, ti, wi, ri = ((out, t, weights, wr) if rows >= m else
-                          (x if x is None else x[i:i + rows] for x in (out, t, weights, wr)))
+        bi, ti, ri = ((out, t, residuals) if rows >= m else
+                      (x if x is None else x[i:i + rows] for x in (out, t, residuals)))
         ui = (ti - bi @ s) / snorm2
         if gram is not None:
-            wui = ui if wi is None else wi * ui
-            vi = bi.T @ wui
+            vi = bi.T @ ui
             v = vi if v is None else np.add(v, vi, out=v)
-            uwu += float(ui @ wui)
+            uu += float(ui @ ui)
         # bi.T is Fortran-ordered, so dger adds s u^T to it in place.
         scipy.linalg.blas.dger(1.0, s, ui, a=bi.T, overwrite_a=1)
         if ri is not None:
@@ -366,38 +354,32 @@ def broyden_update(
     if gram is not None:
         vs = np.outer(v, s)
         gram += vs + vs.T
-        gram += uwu * np.outer(s, s)
+        gram += uu * np.outer(s, s)
     return out if residuals is None else (out, -g)
 
 
-def gram_matrix(b: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """``B^T W B`` computed afresh, exactly symmetric.  Factoring through
-    ``sqrt(w)`` keeps the weighted product on the symmetric-multiply path of
-    the unweighted one, so unit weights reproduce it bit for bit."""
-    if weights is not None:
-        b = np.sqrt(weights)[:, None] * b
+def gram_matrix(b: np.ndarray) -> np.ndarray:
+    """``B^T B`` computed afresh, exactly symmetric."""
     return b.T @ b
 
 
 def assemble_lm_system(
-    b: np.ndarray, r: np.ndarray, lam: float, weights: np.ndarray | None = None,
+    b: np.ndarray, r: np.ndarray, lam: float,
     gram: np.ndarray | None = None, rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped normal equations for the direction solve.
+    """Damped normal equations for the direction solve,
+    ``(B^T B + lam * diag(B^T B)) p = -B^T r`` with ``lam >= 0``.
 
-    Unweighted: ``(B^T B + lam * diag(B^T B)) p = -B^T r``; with weights the
-    Gram matrix and right-hand side take ``B^T W B`` and ``-B^T W r`` forms.
-    ``gram`` is ``B^T W B`` when the caller maintains it; otherwise it is
-    computed by :func:`gram_matrix`.  ``rhs`` is ``-B^T W r`` from the pass
-    of :func:`broyden_update` when there was one, or else computed here.
+    With whitened ``B = sqrt(W) J`` and ``r = sqrt(W) r_raw`` these are the
+    weighted equations ``J^T W J`` and ``-J^T W r_raw``.  ``gram`` is
+    ``B^T B`` when the caller maintains it; otherwise it is computed by
+    :func:`gram_matrix`.  ``rhs`` is ``-B^T r`` from the pass of
+    :func:`broyden_update` when there was one, or else computed here.
     """
-    if lam < 0:
-        raise ConfigError(f"damping factor must be non-negative, got {lam}", key="lambda")
-    w = None if weights is None else np.asarray(weights, dtype=float)
     if gram is None:
-        gram = gram_matrix(b, w)
+        gram = gram_matrix(b)
     if rhs is None:
-        rhs = -(b.T @ (r if w is None else w * r))
+        rhs = -(b.T @ r)
     a = gram.copy()
     idx = np.diag_indices_from(a)
     a[idx] += lam * gram[idx]
@@ -428,12 +410,13 @@ def armijo_holds(
     alpha: float,
     c: float,
 ) -> bool:
-    """Sufficient-decrease test on the objective phi = 0.5 * ||r||_W^2:
+    """Sufficient-decrease test on the objective phi = 0.5 * ||r||^2:
     ``0.5 * norm_new**2 <= 0.5 * norm_old**2 + c * alpha * slope``.
 
-    Both norms are :func:`weighted_norm` values (the metric the direction
-    solve targets).  ``slope`` is phi's derivative along the direction,
-    ``(B^T W r_old) @ p``; :func:`optimize` takes it as ``-(rhs @ p)`` from
+    Both norms are :func:`weighted_norm` values of whitened residuals (the
+    metric the direction solve targets).  ``slope`` is phi's derivative
+    along the direction, ``(B^T r_old) @ p``; :func:`optimize` takes it as
+    ``-(rhs @ p)`` from
     the right-hand side of the direction solve, once per direction.  It is
     negative for descent directions, so acceptance demands a strict
     decrease, and the test does not depend on the unit of the residuals.
@@ -466,11 +449,11 @@ def backtrack(
     evaluate: ResidualEvaluator,
     r_old: np.ndarray,
     slope: float,
-    weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, bool]:
     """Safeguarded quadratic backtracking along ``p`` from ``beta``.
 
-    ``slope`` is the derivative of phi = 0.5 * ||r||_W^2 at ``r_old`` along
+    ``evaluate`` returns whitened residuals and ``r_old`` is one of them.
+    ``slope`` is the derivative of phi = 0.5 * ||r||^2 at ``r_old`` along
     ``p`` (see :func:`armijo_holds`); the norm of ``r_old`` is computed once
     here and shared by every trial.
 
@@ -495,7 +478,7 @@ def backtrack(
     best: tuple[float, float, np.ndarray] | None = None  # (norm, alpha, residuals)
     last_failure: EvaluatorFailure | None = None
     with np.errstate(over="ignore"):
-        norm_old = weighted_norm(r_old, weights)
+        norm_old = weighted_norm(r_old)
         while True:
             trial = beta.clip(beta.values + alpha * p)
             try:
@@ -503,7 +486,7 @@ def backtrack(
             except EvaluatorFailure as exc:
                 last_failure, norm = exc, np.inf
             else:
-                norm = weighted_norm(r_new, weights)
+                norm = weighted_norm(r_new)
                 if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
                     return alpha, r_new, True
                 if best is None or norm < best[0]:
@@ -527,29 +510,38 @@ def backtrack(
 
 
 class _CountingEvaluator:
-    """Validates and counts residual evaluations; fixes m on the first call."""
+    """The residual boundary of a run: validates, counts and whitens each
+    evaluation.  The first call fixes m and resolves the weights to
+    ``sw = sqrt(w)``; every vector returned, the first included, is
+    ``sw * r`` (``r`` itself when unweighted, ``sw`` None)."""
 
-    def __init__(self, fn: ResidualEvaluator):
-        self.fn = fn
+    def __init__(self, fn: ResidualEvaluator, weights=None):
+        self.fn, self.weights = fn, weights
         self.m: int | None = None
+        self.sw: np.ndarray | None = None
         self.count = 0
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         self.count += 1
         r = np.asarray(self.fn(np.array(values, dtype=float)), dtype=float)
-        self.m = check_residuals(r, self.m)
-        return r
+        m = check_residuals(r, self.m)
+        if self.m is None:
+            self.m, self.sw = m, _resolve_weights(self.weights, m)
+        return r if self.sw is None else self.sw * r
 
 
 class _SecantJacobian:
-    """The secant approximation B of the m x n residual Jacobian: B (from
-    ``eye(m, n)``), its Gram matrix ``B^T W B`` with the updates made since
-    it was exact, the right-hand side ``-B^T W r`` left by the last update's
-    pass, the ``pending`` step pair ``(s, t)`` and the last pair absorbed."""
+    """The secant approximation B of the m x n Jacobian of the whitened
+    residuals ``sw * r``: B (from ``eye(m, n)`` on the raw residuals, so
+    ``sw``-scaled rows), its Gram matrix ``B^T B`` with the updates made
+    since it was exact, the right-hand side ``-B^T r`` left by the last
+    update's pass, the ``pending`` step pair ``(s, t)`` and the last pair
+    absorbed."""
 
-    def __init__(self, m: int, n: int, weights: np.ndarray | None):
-        self.b = np.eye(m, n)  # private to this run, so updated in place
-        self.weights = weights
+    def __init__(self, m: int, n: int, sw: np.ndarray | None):
+        # private to this run, so updated in place
+        self.b = np.eye(m, n) if sw is None else np.eye(m, n) * sw[:, None]
+        self.sw = sw
         self.gram: np.ndarray | None = None  # None: recompute it exactly
         self.since_exact = 0
         self.rhs: np.ndarray | None = None
@@ -564,8 +556,7 @@ class _SecantJacobian:
         # Recompute due: an update leaves the Gram matrix to system(); a skip keeps it.
         gram = None if self.since_exact == GRAM_RECOMPUTE_PERIOD - 1 else self.gram
         try:
-            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=gram,
-                                         weights=self.weights, residuals=r)
+            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=gram, residuals=r)
         except StagnantStep as exc:
             logger.warning("iteration %d: secant update skipped (%s)", k, exc)
             return "skipped"
@@ -586,14 +577,15 @@ class _SecantJacobian:
         """The damped normal equations at ``r`` (:func:`assemble_lm_system`),
         recomputing the Gram matrix first when it is due."""
         if self.gram is None:
-            self.gram, self.since_exact = gram_matrix(self.b, self.weights), 0
-        a, self.rhs = assemble_lm_system(self.b, r, lam, self.weights, self.gram, self.rhs)
+            self.gram, self.since_exact = gram_matrix(self.b), 0
+        a, self.rhs = assemble_lm_system(self.b, r, lam, self.gram, self.rhs)
         return a, self.rhs
 
     @np.errstate(over="ignore", invalid="ignore")
     def state(self) -> SolverState:
         """Fold the pending pair into B, so that B has absorbed every
-        observed pair, and return B with the last pair it absorbed."""
+        observed pair, and return B with the last pair it absorbed, both
+        un-whitened: they describe the Jacobian of the raw residuals."""
         if self.pending is not None:
             try:
                 broyden_update(self.b, *self.pending, out=self.b)
@@ -601,10 +593,14 @@ class _SecantJacobian:
             except StagnantStep:
                 pass
             self.pending = self.gram = None
-        return SolverState(self.b, *self.last)
+        (s, t), b = self.last, self.b
+        if self.sw is not None:
+            b, t = b / self.sw[:, None], (None if t is None else t / self.sw)
+        return SolverState(b, s, t)
 
 
 def _resolve_weights(weights, m: int) -> np.ndarray | None:
+    """``sqrt(w)`` of valid weights (a scalar or an m-vector), or None."""
     if weights is None:
         return None
     if np.isscalar(weights):
@@ -615,7 +611,7 @@ def _resolve_weights(weights, m: int) -> np.ndarray | None:
         raise ConfigError(f"expected {m} weights, got shape {w.shape}", key="weights")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ConfigError("weights must be strictly positive and finite", key="weights")
-    return w
+    return np.sqrt(w)
 
 
 def as_parameters(beta0, n_params: int | None = None) -> Parameters:
@@ -699,23 +695,22 @@ def _optimize(
     config = config or SolverConfig()
     beta = as_parameters(beta0, n_params)
     n = beta.size
-    ev = _CountingEvaluator(evaluate)
+    ev = _CountingEvaluator(evaluate, weights)
     records: list[IterationRecord] = []
-    r = w = None
+    r = None
     try:
         r = ev(beta.values)
         if ev.m < n:
             raise ConfigError(f"under-determined system: {ev.m} residuals for {n} "
                               "parameters", key="evaluate")
-        w = _resolve_weights(weights, ev.m)
         perturbed = perturb_initial(beta, config)
         r_pert = ev(perturbed.values)
     except EvaluatorFailure as exc:
-        obj = np.inf if r is None else objective_value(r, w)
+        obj = np.inf if r is None else objective_value(r)
         return RunReport(RunStatus.EvaluatorFailure, beta, obj, records, ev.count,
                          f"bootstrap: {exc}"), None
 
-    jac = _SecantJacobian(ev.m, n, w)
+    jac = _SecantJacobian(ev.m, n, ev.sw)
     jac.pending = (perturbed.values - beta.values, r_pert - r)
     beta, r = perturbed, r_pert
     lam = config.lambda_init
@@ -753,10 +748,10 @@ def _optimize(
             break
 
         if np.any(p):
-            # rhs = -B^T W r, so the objective's slope along p is -(rhs @ p).
+            # rhs = -B^T r, so the objective's slope along p is -(rhs @ p).
             slope = -float(rhs @ p)
             try:
-                alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope, w)
+                alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope)
             except EvaluatorFailure as exc:
                 status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
                 break
@@ -770,7 +765,7 @@ def _optimize(
             # Exact stationary point of the local model: nothing to try.
             alpha, accepted = 0.0, True
 
-        rn = weighted_norm(r, w)
+        rn = weighted_norm(r)
         rec = IterationRecord(
             k=k,
             beta=beta.values.copy(),
@@ -796,4 +791,4 @@ def _optimize(
             break
         lam = update_lambda(lam, accepted, config)
 
-    return RunReport(status, beta, objective_value(r, w), records, ev.count, reason), jac
+    return RunReport(status, beta, objective_value(r), records, ev.count, reason), jac

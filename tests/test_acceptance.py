@@ -193,8 +193,11 @@ def test_criterion_6_weighting_consistency():
         b = rng.standard_normal((8, 3))
         r = rng.standard_normal(8)
         w = rng.uniform(0.2, 5.0, size=8)
-        p1 = solve(*assemble_lm_system(b, r, 0.7, w))
-        p2 = solve(*assemble_lm_system(b, r, 0.7, 2.0 * w))
+        # Weights enter as whitened B and r; doubling w scales both by sqrt(2).
+        sw = np.sqrt(w)
+        p1 = solve(*assemble_lm_system(sw[:, None] * b, sw * r, 0.7))
+        sw2 = np.sqrt(2.0) * sw
+        p2 = solve(*assemble_lm_system(sw2[:, None] * b, sw2 * r, 0.7))
         assert np.max(np.abs(p2 - p1)) <= 1e-12 * np.max(np.abs(p1))
 
 

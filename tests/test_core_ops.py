@@ -15,7 +15,6 @@ from broydenfit.core import (
     check_convergence,
     constrain_step,
     gram_matrix,
-    objective_value,
     perturb_initial,
     update_lambda,
     weighted_norm,
@@ -27,23 +26,31 @@ from conftest import CountingEvaluator
 
 
 # --- objective -------------------------------------------------------------
+# The objective is 0.5 * rn * rn, rn = weighted_norm(r) of the residuals the
+# run's evaluator returns, which it has whitened by sqrt(w).
+
+def _objective(residuals, weights=None):
+    ev = core._CountingEvaluator(lambda beta: residuals, weights)
+    rn = weighted_norm(ev(np.zeros(1)))
+    return 0.5 * rn * rn
+
 
 def test_objective_zero_residual():
-    assert objective_value(np.zeros(3)) == 0.0
+    assert _objective(np.zeros(3)) == 0.0
 
 
 def test_objective_unweighted():
-    assert objective_value(np.array([1.0, 2.0])) == 2.5
+    assert _objective(np.array([3.0, 4.0])) == 12.5
 
 
 def test_objective_weighted():
-    # By hand: 0.5 * (4*1^2 + 1*1^2) = 2.5
-    assert objective_value(np.array([1.0, 1.0]), np.array([4.0, 1.0])) == 2.5
+    # By hand: 0.5 * (4*1.5^2 + 1*4^2) = 12.5
+    assert _objective(np.array([1.5, 4.0]), np.array([4.0, 1.0])) == 12.5
 
 
 def test_objective_dimension_mismatch():
     with pytest.raises(ConfigError):
-        objective_value(np.ones(3), np.ones(2))
+        _objective(np.ones(3), np.ones(2))
 
 
 def test_objective_nonnegative_randomized():
@@ -51,7 +58,7 @@ def test_objective_nonnegative_randomized():
     for _ in range(50):
         r = rng.standard_normal(rng.integers(1, 8))
         w = rng.uniform(0.1, 5.0, size=r.size)
-        assert objective_value(r, w) >= 0.0
+        assert _objective(r, w) >= 0.0
 
 
 # --- bootstrap perturbation -------------------------------------------------
@@ -181,53 +188,56 @@ def test_blocked_update_within_ulps_of_outer_product(small_blocks, m, n):
 @pytest.mark.parametrize("blocks", ["one", "many"])
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_secant_pass_returns_the_next_right_hand_side(request, blocks, weights):
-    # With residuals the update also returns rhs = -(B'^T W r) for the
-    # updated B'.  From one block it is the unblocked product, bit for bit.
-    # Across blocks the sum is taken in another order; each order is within
-    # m * eps * (|B'|^T |W r|) of the exact sum.
+    # With residuals the update also returns rhs = -(B'^T r) for the
+    # updated B'; weights enter as whitened rows of B, t and r.  From one
+    # block it is the unblocked product, bit for bit.  Across blocks the sum
+    # is taken in another order; each order is within m * eps * (|B'|^T |r|)
+    # of the exact sum.
     if blocks == "many":
         request.getfixturevalue("small_blocks")
     m, n = 1000, 6
     b, s, t = _random_pair(m, n)
     rng = np.random.default_rng(3)
-    w = None if weights is None else rng.uniform(0.5, 2.0, m)
     r = rng.standard_normal(m)
-    wr = r if w is None else w * r
-    out, rhs = broyden_update(b, s, t, weights=w, residuals=r)
+    if weights is not None:
+        sw = np.sqrt(rng.uniform(0.5, 2.0, m))
+        b, t, r = sw[:, None] * b, sw * t, sw * r
+    out, rhs = broyden_update(b, s, t, residuals=r)
     assert np.array_equal(out, broyden_update(b, s, t))
-    expected = -(out.T @ wr)
+    expected = -(out.T @ r)
     if blocks == "one":
         assert rhs.tobytes() == expected.tobytes()
     else:
         eps = np.finfo(float).eps
-        assert np.all(np.abs(rhs - expected) <= 2 * m * eps * (np.abs(out.T) @ np.abs(wr)))
+        assert np.all(np.abs(rhs - expected) <= 2 * m * eps * (np.abs(out.T) @ np.abs(r)))
 
 
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_incremental_gram_drift_is_bounded(weights):
     # After GRAM_RECOMPUTE_PERIOD - 1 updates (the most the driver folds in
-    # before recomputing), the maintained B^T W B stays within
-    # 8 * (k - 1) * eps * ||sqrt(W) B||_2^2 of a fresh product, elementwise,
-    # with the norm taken at its largest over the updates.
+    # before recomputing), the maintained B^T B stays within
+    # 8 * (k - 1) * eps * ||B||_2^2 of a fresh product, elementwise, with the
+    # norm taken at its largest over the updates.  Weights enter as whitened
+    # rows of B and of each t.
     m, n = 2000, 20
     rng = np.random.default_rng(17)
-    w = None if weights is None else rng.uniform(0.5, 2.0, size=m)
-    b = rng.standard_normal((m, n))
-    gram = gram_matrix(b, w)
+    sw = np.ones(m) if weights is None else np.sqrt(rng.uniform(0.5, 2.0, size=m))
+    b = sw[:, None] * rng.standard_normal((m, n))
+    gram = gram_matrix(b)
     scale = np.linalg.norm(gram, 2)
     updates = GRAM_RECOMPUTE_PERIOD - 1
     for _ in range(updates):
         s = rng.standard_normal(n)
-        broyden_update(b, s, rng.standard_normal(m), out=b, gram=gram, weights=w)
-        scale = max(scale, np.linalg.norm(gram_matrix(b, w), 2))
+        broyden_update(b, s, sw * rng.standard_normal(m), out=b, gram=gram)
+        scale = max(scale, np.linalg.norm(gram_matrix(b), 2))
     assert np.array_equal(gram, gram.T)
     eps = np.finfo(float).eps
-    assert np.max(np.abs(gram - gram_matrix(b, w))) <= 8 * updates * eps * scale
+    assert np.max(np.abs(gram - gram_matrix(b))) <= 8 * updates * eps * scale
 
 
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_incremental_gram_drift_is_bounded_across_blocks(small_blocks, weights):
-    # The same bound when v and u^T W u are summed over 32 blocks.
+    # The same bound when v and u^T u are summed over 32 blocks.
     test_incremental_gram_drift_is_bounded(weights)
 
 
@@ -254,23 +264,12 @@ def test_blocked_stagnant_step_leaves_out_and_gram_untouched(small_blocks):
     assert np.array_equal(b, before) and np.array_equal(gram, gram_before)
 
 
-def test_blocked_pass_unit_weights_bitwise_equal_to_unweighted(small_blocks):
-    m, n = 450, 5
-    b, s, t = _random_pair(m, n)
-    r = np.random.default_rng(4).standard_normal(m)
-    results = []
-    for w in (None, np.ones(m)):
-        gram = gram_matrix(b, w)
-        out, rhs = broyden_update(b, s, t, gram=gram, weights=w, residuals=r)
-        results.append((out, gram, rhs))
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(*results))
-
-
 # --- the driver's secant Jacobian -------------------------------------------
 
 def _secant_jacobian(m, n, weights):
-    w = None if weights is None else np.random.default_rng(7).uniform(0.5, 2.0, m)
-    return core._SecantJacobian(m, n, w), np.random.default_rng(8)
+    rng = np.random.default_rng(7)
+    sw = None if weights is None else np.sqrt(rng.uniform(0.5, 2.0, m))
+    return core._SecantJacobian(m, n, sw), np.random.default_rng(8)
 
 
 def test_secant_jacobian_says_what_it_did():
@@ -298,7 +297,7 @@ def test_secant_jacobian_skip_leaves_b_and_gram_untouched(weights, caplog):
     jac.pending = (np.full(2, 1e-16), rng.standard_normal(6))
     assert jac.absorb(r, 2) == "skipped"
     assert np.array_equal(jac.b, b)
-    assert jac.gram is gram and np.array_equal(gram, gram_matrix(b, jac.weights))
+    assert jac.gram is gram and np.array_equal(gram, gram_matrix(b))
     assert jac.last is last
     assert caplog.messages == [
         "iteration 2: secant update skipped "
@@ -325,7 +324,7 @@ def test_secant_jacobian_skip_at_recompute_point_keeps_gram(weights):
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
     assert jac.absorb(r, k + 2) == "updated" and jac.gram is None
     got = jac.system(r, 0.1)
-    want = assemble_lm_system(jac.b, r, 0.1, jac.weights)
+    want = assemble_lm_system(jac.b, r, 0.1)
     assert jac.since_exact == 0
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
@@ -344,7 +343,7 @@ def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
         got = jac.system(r, 0.5)
         if jac.since_exact == 0:
             exact_points.append(k)
-            want = assemble_lm_system(jac.b, r, 0.5, jac.weights)
+            want = assemble_lm_system(jac.b, r, 0.5)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     assert exact_points == [1, GRAM_RECOMPUTE_PERIOD + 1, 2 * GRAM_RECOMPUTE_PERIOD + 1]
 
@@ -364,31 +363,18 @@ def test_assemble_identity_unit_damping():
 
 
 def test_assemble_column_with_identity_weights():
+    # Identity weights whiten B and r by sqrt(1) = 1.
+    sw = np.sqrt(np.ones(2))
     b = np.array([[1.0], [2.0]])
-    a, rhs = assemble_lm_system(b, np.array([1.0, 1.0]), 0.0, np.ones(2))
+    a, rhs = assemble_lm_system(sw[:, None] * b, sw * np.array([1.0, 1.0]), 0.0)
     assert np.array_equal(a, [[5.0]])
     assert np.array_equal(rhs, [-3.0])
-
-
-def test_assemble_identity_weights_bitwise_equal_to_unweighted():
-    rng = np.random.default_rng(9)
-    b = rng.standard_normal((5, 3))
-    r = rng.standard_normal(5)
-    a0, rhs0 = assemble_lm_system(b, r, 0.37)
-    a1, rhs1 = assemble_lm_system(b, r, 0.37, np.ones(5))
-    assert np.array_equal(a0, a1)
-    assert np.array_equal(rhs0, rhs1)
 
 
 def test_assemble_takes_a_given_right_hand_side():
     given = np.array([5.0, 6.0])
     a, rhs = assemble_lm_system(np.eye(2), np.array([1.0, 1.0]), 0.0, rhs=given)
     assert rhs is given and np.array_equal(a, np.eye(2))
-
-
-def test_assemble_rejects_negative_damping():
-    with pytest.raises(ConfigError):
-        assemble_lm_system(np.eye(2), np.ones(2), -0.1)
 
 
 def test_lm_step_identity():
@@ -613,13 +599,12 @@ def test_backtrack_overflowing_trial_norm_is_rejected_silently():
     def fn(point):
         return huge if point[0] == -1.0 else np.array([0.1, 0.0])
 
-    for weights in (None, np.ones(2)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
-                                         r_old, slope, weights)
-        assert (alpha, ok) == (0.5, True)
-        assert np.array_equal(r_new, [0.1, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
+                                     r_old, slope)
+    assert (alpha, ok) == (0.5, True)
+    assert np.array_equal(r_new, [0.1, 0.0])
 
 
 def test_backtrack_starts_from_constrained_alpha():

@@ -181,9 +181,10 @@ def test_doubling_weights_leaves_direction_unchanged():
     rng = np.random.default_rng(2)
     b = rng.standard_normal((7, 3))
     r = rng.standard_normal(7)
-    w = rng.uniform(0.5, 4.0, size=7)
-    p1 = solve(*assemble_lm_system(b, r, 0.3, w))
-    p2 = solve(*assemble_lm_system(b, r, 0.3, 2.0 * w))
+    sw = np.sqrt(rng.uniform(0.5, 4.0, size=7))
+    p1 = solve(*assemble_lm_system(sw[:, None] * b, sw * r, 0.3))
+    sw2 = np.sqrt(2.0) * sw
+    p2 = solve(*assemble_lm_system(sw2[:, None] * b, sw2 * r, 0.3))
     assert np.allclose(p2, p1, rtol=1e-12, atol=0)
 
 

@@ -285,22 +285,21 @@ def test_only_optimize_with_state_folds_the_final_pair(monkeypatch):
 
 @pytest.mark.parametrize("weights", [None, np.array([0.5, 2.0, 1.5])])
 def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
-    # optimize hands backtrack -(rhs @ p); it must equal (B^T W r) @ p to
-    # the bit, and be negative (a descent direction).
+    # optimize hands backtrack -(rhs @ p); it must equal (B^T r) @ p of the
+    # whitened B and r to the bit, and be negative (a descent direction).
     assembled, slopes = [], []
     assemble, search = core.assemble_lm_system, core.backtrack
 
-    def spy_assemble(b, r, lam, w=None, gram=None, rhs=None):
+    def spy_assemble(b, r, lam, gram=None, rhs=None):
         assembled.append((b.copy(), r.copy()))
-        return assemble(b, r, lam, w, gram, rhs)
+        return assemble(b, r, lam, gram, rhs)
 
-    def spy_search(beta, p, config, evaluate, r_old, slope, w=None):
+    def spy_search(beta, p, config, evaluate, r_old, slope):
         b, r = assembled[-1]
-        wr = r if w is None else w * r
         assert np.array_equal(r_old, r)
         slopes.append(slope)
-        assert slope == float((b.T @ wr) @ p)
-        return search(beta, p, config, evaluate, r_old, slope, w)
+        assert slope == float((b.T @ r) @ p)
+        return search(beta, p, config, evaluate, r_old, slope)
 
     monkeypatch.setattr(core, "assemble_lm_system", spy_assemble)
     monkeypatch.setattr(core, "backtrack", spy_search)
@@ -312,7 +311,7 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
 
 @pytest.mark.parametrize("weights", [None, np.linspace(0.5, 2.0, 12)])
 def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
-    # The driver recomputes B^T W B at the start, after each FD refresh and
+    # The driver recomputes B^T B at the start, after each FD refresh and
     # after every GRAM_RECOMPUTE_PERIOD-th secant update since then; there
     # the system it assembles equals the one assembled from B alone, bit for
     # bit.  "since" counts the updates made after the last such point; the
@@ -329,10 +328,10 @@ def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
         since[0] += 1
         return out
 
-    def spy_assemble(b, r, lam, w=None, gram=None, rhs=None):
-        out = assemble(b, r, lam, w, gram, rhs)
+    def spy_assemble(b, r, lam, gram=None, rhs=None):
+        out = assemble(b, r, lam, gram, rhs)
         if since[0] % core.GRAM_RECOMPUTE_PERIOD == 0:
-            exact = assemble(b, r, lam, w)
+            exact = assemble(b, r, lam)
             checked.append((since[0], all(np.array_equal(x, y)
                                           for x, y in zip(out, exact))))
         return out
@@ -357,6 +356,21 @@ def test_fd_refresh_converges_and_leaves_fd_matrix():
     report, state = optimize_with_state(ev, n_params=2, config=cfg)
     assert report.status is RunStatus.Converged
     assert np.allclose(report.final_beta.values, [1.0, 2.0], rtol=1e-6, atol=1e-8)
+
+
+def test_weighted_solver_state_describes_the_raw_residuals():
+    # The run works on whitened residuals sqrt(w) * r, but its SolverState
+    # describes the Jacobian of the evaluator's own residuals, y - b0 - b1 x.
+    data = linear_dataset()
+    ev = DatasetEvaluator(LinearModel(), data)
+    cfg = SolverConfig(fd_refresh_period=1)
+    report, state = optimize_with_state(ev, n_params=2, config=cfg,
+                                        weights=np.array([0.5, 4.0, 2.0]))
+    assert report.status is RunStatus.Converged
+    jac = -np.column_stack([np.ones(3), data.x[:, 0]])
+    assert np.allclose(state.broyden, jac, rtol=0, atol=1e-6)
+    assert np.allclose(state.broyden @ state.last_step, state.last_residual_change,
+                       rtol=0, atol=1e-12)
 
 
 def test_weights_shift_the_compromise():

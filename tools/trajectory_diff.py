@@ -19,10 +19,13 @@ JSON report, once writing the csv-trace.  It compares the report files as
 JSON data (``json.load``, so key order does not matter), and the csv-trace,
 the ``-v`` lines, the summary line and the exit status byte for byte.
 
-Prints how many problems differ (and the first few names), then per side
-the totals of each status, of evaluator calls and of failed fits, where a
-fit fails as in the benchmark: it did not converge, or its parameters lie
-more than ``workloads.TOLERANCE`` from the reference solution.
+Prints how many problems differ, and how many of those differ in
+``evaluations`` or ``status`` (a changed trajectory rather than round-off);
+the first few names, each with the top-level keys that differ
+(``state_sha256``, ``objective``, ``evaluations``, ...); then per side the
+totals of each status, of evaluator calls and of failed fits, where a fit
+fails as in the benchmark: it did not converge, or its parameters lie more
+than ``workloads.TOLERANCE`` from the reference solution.
 
 Each checkout runs in its own Python subprocess, with its own ``src/`` on
 the path and ``OPENBLAS_NUM_THREADS=1``.  Both sides fit the problems that
@@ -188,11 +191,17 @@ def main(argv=None) -> int:
     names = sorted(reports["change"])
     if sorted(reports["parent"]) != names:
         raise SystemExit("error: the two checkouts fitted different problems")
-    differ = [name for name in names if reports["parent"][name] != reports["change"][name]]
+    differ = {}  # name: the top-level keys whose values differ
+    for name in names:
+        if reports["parent"][name] != reports["change"][name]:
+            old, new = (json.loads(reports[side][name]) for side in sides)
+            differ[name] = sorted(k for k in old | new if old.get(k) != new.get(k))
+    moved = sum(1 for keys in differ.values() if {"evaluations", "status"} & set(keys))
 
-    print(f"{args.workload}: {len(names)} problems, {len(differ)} differ")
-    for name in differ[:SHOWN]:
-        print(f"  differs: {name}")
+    print(f"{args.workload}: {len(names)} problems, {len(differ)} differ, "
+          f"{moved} in evaluations or status")
+    for name, keys in list(differ.items())[:SHOWN]:
+        print(f"  differs: {name}: {', '.join(keys)}")
     if len(differ) > SHOWN:
         print(f"  ... and {len(differ) - SHOWN} more")
     rows = collections.defaultdict(dict)
