@@ -259,12 +259,6 @@ class SolverState:
 # Elementary operations
 
 
-def objective_value(r: np.ndarray) -> float:
-    """Half the sum of squared residuals."""
-    r = np.asarray(r, dtype=float)
-    return 0.5 * float(r @ r)
-
-
 def weighted_norm(r: np.ndarray) -> float:
     """The 2-norm of whitened residuals ``sqrt(w) * r``, which is the
     weighted norm ``sqrt(sum w_i r_i^2)`` of the raw residuals."""
@@ -706,8 +700,8 @@ def _optimize(
         perturbed = perturb_initial(beta, config)
         r_pert = ev(perturbed.values)
     except EvaluatorFailure as exc:
-        obj = np.inf if r is None else objective_value(r)
-        return RunReport(RunStatus.EvaluatorFailure, beta, obj, records, ev.count,
+        rn = np.inf if r is None else weighted_norm(r)
+        return RunReport(RunStatus.EvaluatorFailure, beta, 0.5 * rn * rn, records, ev.count,
                          f"bootstrap: {exc}"), None
 
     jac = _SecantJacobian(ev.m, n, ev.sw)
@@ -791,4 +785,5 @@ def _optimize(
             break
         lam = update_lambda(lam, accepted, config)
 
-    return RunReport(status, beta, objective_value(r), records, ev.count, reason), jac
+    rn = weighted_norm(r)
+    return RunReport(status, beta, 0.5 * rn * rn, records, ev.count, reason), jac

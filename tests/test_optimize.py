@@ -409,6 +409,15 @@ def test_objective_recomputable_from_residual_norm():
         assert rec.objective == 0.5 * rec.residual_norm**2
 
 
+def test_final_objective_is_the_last_records_objective():
+    # One formula, 0.5 * rn * rn of the final residuals: on this fit half
+    # the squared norm and half the dot product differ in the last bit.
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset())
+    report = optimize(ev, beta0=[1.0, 1.0])
+    assert report.status is RunStatus.Converged
+    assert report.final_objective == report.iterations[-1].objective
+
+
 def test_diagnostics_attach_condition_estimates():
     ev = DatasetEvaluator(LinearModel(), linear_dataset())
     plain = optimize(ev, n_params=2)
