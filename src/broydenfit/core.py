@@ -410,10 +410,10 @@ def armijo_holds(
     Both norms are :func:`weighted_norm` values of whitened residuals (the
     metric the direction solve targets).  ``slope`` is phi's derivative
     along the direction, ``(B^T r_old) @ p``; :func:`optimize` takes it as
-    ``-(rhs @ p)`` from
-    the right-hand side of the direction solve, once per direction.  It is
-    negative for descent directions, so acceptance demands a strict
-    decrease, and the test does not depend on the unit of the residuals.
+    ``-(rhs @ p)`` from the right-hand side of the direction solve, once
+    per direction.  It is negative for descent directions, so acceptance
+    demands a strict decrease, and the test does not depend on the unit of
+    the residuals.
     """
     return 0.5 * norm_new * norm_new <= 0.5 * norm_old * norm_old + c * alpha * slope
 
@@ -701,8 +701,8 @@ def _optimize(
         r_pert = ev(perturbed.values)
     except EvaluatorFailure as exc:
         rn = np.inf if r is None else weighted_norm(r)
-        return RunReport(RunStatus.EvaluatorFailure, beta, 0.5 * rn * rn, records, ev.count,
-                         f"bootstrap: {exc}"), None
+        return RunReport(RunStatus.EvaluatorFailure, beta, 0.5 * rn * rn, records,
+                         ev.count, f"bootstrap: {exc}"), None
 
     jac = _SecantJacobian(ev.m, n, ev.sw)
     jac.pending = (perturbed.values - beta.values, r_pert - r)
