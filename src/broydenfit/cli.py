@@ -94,7 +94,9 @@ def cmd_check_jacobian(args) -> int:
             print(f"error: {report.failure_reason}", file=sys.stderr)
             return 3
         fd_config = fdiff.FdConfig(scheme=args.scheme)
-        jac = fdiff.fd_jacobian(setup.evaluate, report.final_beta.values, fd_config)
+        beta = report.final_beta
+        jac = fdiff.fd_jacobian(setup.evaluate, beta.values, fd_config,
+                                beta.lower, beta.upper)
 
     b = state.broyden
     print(

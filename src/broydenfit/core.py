@@ -7,6 +7,7 @@ that starts as a unit diagonal pattern and absorbs one rank-one update per
 accepted step.  Steps are globalized by a safeguarded quadratic backtracking
 line search that enforces a sufficient-decrease condition on the objective,
 and the damping factor is adapted multiplicatively on acceptance or rejection.
+Box bounds are kept by projection alone (:func:`constrain_step`).
 
 Only residual evaluations are required of the model: a callable mapping a
 parameter vector of length n to a residual vector of fixed length m >= n.
@@ -380,21 +381,22 @@ def assemble_lm_system(
     return a, rhs
 
 
-def constrain_step(beta: Parameters, p: np.ndarray, alpha: float = 1.0) -> float:
-    """Largest step length <= ``alpha`` keeping the move inside the half-way
-    envelope of the feasible box.
-
-    A coordinate heading toward a finite bound may travel at most half the
-    remaining distance to it.  A coordinate sitting exactly on a bound with
-    an outward direction contributes no cap (the driver's clip pins it
-    there), so the returned value stays positive.
+def constrain_step(beta: Parameters, a: np.ndarray, rhs: np.ndarray):
+    """Pin each coordinate on a bound that the descent direction ``rhs =
+    -B^T r`` points out of the box (Bertsekas 1982): its row and column of
+    the damped system ``a`` (changed in place) become the largest free
+    diagonal entry, or 1.0, times an identity row, and its ``rhs`` entry 0,
+    so the solve gives ``p_j = 0`` there and the LM step of the others.
+    Returns ``(a, rhs)``; ``rhs`` is a copy when any coordinate is pinned.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # An infinite room (unbounded side) or a 0/0 (on a bound, p_j = 0)
-        # caps nothing: min ignores it or the ``> 0`` mask drops it.
-        limits = 0.5 * np.where(p > 0, beta.upper - beta.values,
-                                beta.values - beta.lower) / np.abs(p)
-        return float(np.min(limits, where=limits > 0, initial=alpha))
+    pinned = (((beta.values == beta.lower) & (rhs < 0))
+              | ((beta.values == beta.upper) & (rhs > 0)))
+    if not pinned.any():
+        return a, rhs
+    free = np.diagonal(a)[~pinned]
+    a[pinned], a[:, pinned] = 0.0, 0.0
+    a[pinned, pinned] = free.max() if free.size else 1.0
+    return a, np.where(pinned, 0.0, rhs)
 
 
 def armijo_holds(
@@ -443,24 +445,23 @@ def backtrack(
     evaluate: ResidualEvaluator,
     r_old: np.ndarray,
     slope: float,
-) -> tuple[float, np.ndarray, bool]:
+) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """Safeguarded quadratic backtracking along ``p`` from ``beta``.
 
     ``evaluate`` returns whitened residuals and ``r_old`` is one of them.
     ``slope`` is the derivative of phi = 0.5 * ||r||^2 at ``r_old`` along
-    ``p`` (see :func:`armijo_holds`); the norm of ``r_old`` is computed once
-    here and shared by every trial.
+    ``p`` (see :func:`armijo_holds`).
 
-    Starts from the bound-constrained full step.  A failed trial at
-    ``alpha`` is followed by the minimiser of the quadratic through phi(0),
+    Each trial is ``beta.clip(beta + alpha * p)``, from ``alpha = 1``.  A
+    failed trial is followed by the minimiser of the quadratic through phi(0),
     ``slope`` and phi(alpha), clamped to ``[0.1 * alpha, 0.5 * alpha]``
     (Dennis & Schnabel 1983, Alg. A6.3.1), or by ``0.5 * alpha`` when that
     quadratic has no positive curvature or phi(alpha) is not finite.  The
     search stops when the test passes or the next step would drop to the
-    ``alpha_min`` floor.  Returns ``(alpha, residuals, accepted)``; when no
-    trial passes, the lowest-norm trial is returned with ``accepted=False``
-    (ties keep the larger step) and the caller is expected to raise the
-    damping factor instead of taking an ascent step.
+    ``alpha_min`` floor.  Returns ``(alpha, trial, residuals, accepted)``;
+    when no trial passes, the lowest-norm trial is returned with
+    ``accepted=False`` (ties keep the larger step) and the caller is
+    expected to raise the damping factor instead of taking an ascent step.
 
     A trial whose evaluation fails is treated like a failed decrease test;
     only if every trial fails to evaluate does the failure propagate.  A
@@ -468,8 +469,8 @@ def backtrack(
     overflow warnings are suppressed for the whole search, including the
     evaluator's trial calls.
     """
-    alpha = constrain_step(beta, p, 1.0)
-    best: tuple[float, float, np.ndarray] | None = None  # (norm, alpha, residuals)
+    alpha = 1.0
+    best: tuple | None = None  # (norm, alpha, trial, residuals)
     last_failure: EvaluatorFailure | None = None
     with np.errstate(over="ignore"):
         norm_old = weighted_norm(r_old)
@@ -482,9 +483,9 @@ def backtrack(
             else:
                 norm = weighted_norm(r_new)
                 if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
-                    return alpha, r_new, True
+                    return alpha, trial, r_new, True
                 if best is None or norm < best[0]:
-                    best = (norm, alpha, r_new)
+                    best = (norm, alpha, trial, r_new)
             # alpha**2 times the quadratic's curvature; inf or NaN without a finite phi
             curv = 0.5 * (norm * norm - norm_old * norm_old) - slope * alpha
             shrink = -0.5 * slope * alpha / curv if 0.0 < curv < np.inf else 0.5
@@ -496,7 +497,7 @@ def backtrack(
             f"every line-search trial failed to evaluate: {last_failure}",
             category=last_failure.category if last_failure else "evaluation",
         ) from last_failure
-    return best[1], best[2], False
+    return *best[1:], False
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +560,11 @@ class _SecantJacobian:
         self.since_exact += 1
         return "updated"
 
-    def refresh(self, ev: ResidualEvaluator, beta: np.ndarray,
+    def refresh(self, ev: ResidualEvaluator, beta: Parameters,
                 fd_config: "fdiff.FdConfig | None") -> str:
-        """Rebuild B by finite differences at ``beta`` and drop the pending
+        """Rebuild B by finite differences in ``beta``'s box and drop the pending
         pair.  An :class:`EvaluatorFailure` propagates and leaves all as it was."""
-        self.b = fdiff.fd_jacobian(ev, beta, fd_config)
+        self.b = fdiff.fd_jacobian(ev, beta.values, fd_config, beta.lower, beta.upper)
         self.gram = self.rhs = self.pending = None
         return "refreshed"
 
@@ -638,11 +639,12 @@ def optimize(
 
     The run bootstraps with two evaluations (the start and a small
     perturbation of it), then iterates: secant update of the Jacobian
-    approximation, damped direction solve, safeguarded quadratic backtracking
-    line search, damping adaptation, convergence test.  With
-    ``fd_refresh_period`` set in the config, the secant matrix is periodically
-    replaced by a finite-difference Jacobian (``fd_config`` controls scheme
-    and step sizes).
+    approximation, projected damped direction solve (:func:`constrain_step`),
+    backtracking line search clipped to the box, damping adaptation,
+    convergence test on the projected direction.  With ``fd_refresh_period``
+    set in the config, the secant matrix is periodically replaced by a
+    finite-difference Jacobian probed inside the box (``fd_config`` controls
+    scheme and step sizes).
 
     Returns a :class:`RunReport`; evaluator problems surface as
     ``status=EvaluatorFailure`` rather than an exception, and normal
@@ -713,16 +715,16 @@ def _optimize(
     for k in range(1, config.max_iterations + 1):
         if config.fd_refresh_period is not None and k % config.fd_refresh_period == 0:
             try:
-                jac.refresh(ev, beta.values, fd_config)
+                jac.refresh(ev, beta, fd_config)
             except EvaluatorFailure as exc:
                 status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
                 break
         else:
             jac.absorb(r, k)
 
-        # Solve for the direction, escalating the damping on rank deficiency.
+        # Solve for the projected direction, escalating the damping on rank deficiency.
         while True:
-            a, rhs = jac.system(r, lam)
+            a, rhs = constrain_step(beta, *jac.system(r, lam))
             try:
                 p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
                            else (linalg.solve(a, rhs), None))
@@ -742,21 +744,18 @@ def _optimize(
             break
 
         if np.any(p):
-            # rhs = -B^T r, so the objective's slope along p is -(rhs @ p).
-            slope = -float(rhs @ p)
-            try:
-                alpha, r_new, accepted = backtrack(beta, p, config, ev, r, slope)
+            try:  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
+                alpha, trial, r_new, accepted = backtrack(beta, p, config, ev, r,
+                                                          -float(rhs @ p))
             except EvaluatorFailure as exc:
                 status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
                 break
             # A refused move's best trial still carries secant information;
             # absorbing it corrects the approximation that produced it.
-            trial = beta.clip(beta.values + alpha * p)
             jac.pending = (trial - beta.values, r_new - r)
             if accepted:
                 beta, r = beta.with_values(trial), r_new
-        else:
-            # Exact stationary point of the local model: nothing to try.
+        else:  # a stationary point of the projected model: nothing to try
             alpha, accepted = 0.0, True
 
         rn = weighted_norm(r)

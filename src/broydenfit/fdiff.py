@@ -45,16 +45,23 @@ def fd_jacobian(
     evaluate: Callable[[np.ndarray], np.ndarray],
     beta: Sequence[float],
     config: FdConfig | None = None,
+    lower: Sequence[float] | None = None,
+    upper: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Column-wise finite-difference residual Jacobian at ``beta``.
 
     Central differencing costs two evaluations per column, forward one plus
-    a shared base evaluation.  The actually-applied step (after rounding of
-    ``beta_j + h``) is used in the quotient.
+    a shared base evaluation.  Every probe stays inside the box ``lower`` <=
+    ``beta`` <= ``upper`` (unbounded when None): a central probe is clipped
+    to it, and a forward probe that would leave it goes to the other side if
+    that has more room.  The actually-applied step (after rounding of
+    ``beta_j + h`` and the clip) is used in the quotient.
     """
     config = config or FdConfig()
     beta = np.asarray(beta, dtype=float)
     n = beta.size
+    lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     columns = []
     base = None
     if config.scheme == "forward":
@@ -62,17 +69,19 @@ def fd_jacobian(
     for j in range(n):
         h = config.step(beta[j])
         up = beta.copy()
-        up[j] = beta[j] + h
-        h_up = up[j] - beta[j]
+        if (config.scheme == "forward" and beta[j] + h > hi[j]
+                and hi[j] - beta[j] < beta[j] - lo[j]):
+            h = -h
+        up[j] = min(max(beta[j] + h, lo[j]), hi[j])
         try:
             r_up = np.asarray(evaluate(up), dtype=float)
             if config.scheme == "central":
                 down = beta.copy()
-                down[j] = beta[j] - h
+                down[j] = max(beta[j] - h, lo[j])
                 r_down = np.asarray(evaluate(down), dtype=float)
                 columns.append((r_up - r_down) / (up[j] - down[j]))
             else:
-                columns.append((r_up - base) / h_up)
+                columns.append((r_up - base) / (up[j] - beta[j]))
         except EvaluatorFailure as exc:
             raise EvaluatorFailure(
                 f"probe for column {j} failed: {exc}", category=exc.category

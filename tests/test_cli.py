@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from broydenfit import fdiff
 from broydenfit.cli import main
 from broydenfit.dataio import read_report
 
@@ -99,6 +100,25 @@ def test_check_jacobian_linear(tmp_path, capsys):
 def test_check_jacobian_forward_scheme(tmp_path):
     assert main(["check-jacobian", "--spec", str(make_spec(tmp_path)),
                  "--scheme", "forward"]) == 0
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_check_jacobian_probes_inside_the_box(tmp_path, monkeypatch, scheme):
+    # The intercept's optimum 1.0 lies above its upper bound 0.5, so the fit
+    # ends on that bound; no FD probe may go past it.
+    probes, fd_jacobian = [], fdiff.fd_jacobian
+
+    def spy(evaluate, beta, *args):
+        def probe(x):
+            probes.append(np.array(x))
+            return evaluate(x)
+        return fd_jacobian(probe, beta, *args)
+
+    monkeypatch.setattr(fdiff, "fd_jacobian", spy)
+    spec = make_spec(tmp_path, {"bounds": [[None, 0.5], [None, None]]})
+    assert main(["check-jacobian", "--spec", str(spec), "--scheme", scheme]) == 0
+    assert probes and all(x[0] <= 0.5 for x in probes)
+    assert any(x[0] == 0.5 for x in probes)
 
 
 def test_serve_model_subprocess_session(tmp_path):

@@ -281,7 +281,7 @@ def test_secant_jacobian_says_what_it_did():
     assert jac.absorb(r, 2) == "skipped" and jac.pending is None
     a = rng.standard_normal((6, 2))
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
-    assert jac.refresh(lambda x: a @ x, np.zeros(2), None) == "refreshed"
+    assert jac.refresh(lambda x: a @ x, Parameters(np.zeros(2)), None) == "refreshed"
     assert jac.pending is None
     assert np.allclose(jac.b, a, rtol=1e-6, atol=1e-6)
 
@@ -396,40 +396,78 @@ def test_lm_step_singular_signal():
         solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
 
-# --- feasible-step constraint -----------------------------------------------
+# --- projection onto the box -------------------------------------------------
+# constrain_step pins a coordinate that sits on a bound while rhs = -B^T r
+# points out of the box: its row and column become a scaled identity row
+# (the largest free diagonal entry) with right-hand side 0.
 
-def test_constrain_halfway_to_upper_bound():
-    beta = Parameters([0.5], lower=[0.0], upper=[1.0])
-    # Half-way to the bound is 0.75, so alpha * 10 = 0.25.
-    assert constrain_step(beta, np.array([10.0])) == pytest.approx(0.025)
-
-
-def test_constrain_unbounded_passes_through():
-    assert constrain_step(Parameters([0.5]), np.array([10.0])) == 1.0
+def _lm_system():
+    return (np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]),
+            np.array([2.0, -1.0, 0.5]))
 
 
-def test_constrain_step_inside_envelope():
-    beta = Parameters([0.5], lower=[0.0], upper=[1.0])
-    assert constrain_step(beta, np.array([0.1])) == 1.0
+def _pinned(a, j, scale):
+    a = a.copy()
+    a[j], a[:, j] = 0.0, 0.0
+    a[j, j] = scale
+    return a
+
+
+def test_constrain_pins_an_outward_coordinate_on_its_upper_bound():
+    a, rhs = _lm_system()
+    beta = Parameters([1.0, 0.5, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    work = a.copy()
+    a_pin, rhs_pin = constrain_step(beta, work, rhs)
+    assert a_pin is work  # changed in place
+    assert np.array_equal(a_pin, _pinned(a, 0, 3.0))
+    assert np.array_equal(rhs_pin, [0.0, -1.0, 0.5])
+    assert np.array_equal(rhs, [2.0, -1.0, 0.5])  # the caller's vector is kept
+    p = solve(a_pin, rhs_pin)
+    assert p[0] == 0.0
+    assert np.allclose(p[1:], np.linalg.solve(a[1:, 1:], rhs[1:]), rtol=1e-12, atol=0)
 
 
 def test_constrain_lower_bound_side():
-    beta = Parameters([0.5], lower=[0.0], upper=[1.0])
-    # Half-way to the lower bound is 0.25, so alpha * 10 = 0.25 downhill.
-    assert constrain_step(beta, np.array([-10.0])) == pytest.approx(0.025)
+    a, rhs = _lm_system()
+    beta = Parameters([0.5, 0.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    a_pin, rhs_pin = constrain_step(beta, a.copy(), rhs)
+    assert np.array_equal(a_pin, _pinned(a, 1, 4.0))
+    assert np.array_equal(rhs_pin, [2.0, 0.0, 0.5])
+    assert solve(a_pin, rhs_pin)[1] == 0.0
+
+
+def test_constrain_on_bound_coordinate_pointing_inward_stays_free():
+    a, rhs = _lm_system()
+    beta = Parameters([0.0, 1.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    work = a.copy()
+    a_out, rhs_out = constrain_step(beta, work, rhs)
+    assert a_out is work and rhs_out is rhs
+    assert np.array_equal(a_out, a)
 
 
 def test_constrain_zero_direction():
-    beta = Parameters([0.5], lower=[0.0], upper=[1.0])
-    assert constrain_step(beta, np.zeros(1)) == 1.0
+    # A zero component of rhs does not point out of the box.
+    a, _ = _lm_system()
+    beta = Parameters([0.0, 1.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    rhs = np.zeros(3)
+    a_out, rhs_out = constrain_step(beta, a.copy(), rhs)
+    assert np.array_equal(a_out, a) and rhs_out is rhs
 
 
-def test_constrain_pinned_coordinate_stays_positive():
-    # A coordinate sitting exactly on its bound cannot cap the whole step.
-    beta = Parameters([1.0, 0.5], lower=[0.0, 0.0], upper=[1.0, 1.0])
-    alpha = constrain_step(beta, np.array([1.0, 1.0]))
-    assert alpha == pytest.approx(0.25)
-    assert alpha > 0
+def test_constrain_all_coordinates_pinned():
+    a, rhs = _lm_system()
+    beta = Parameters([1.0, 0.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    a_pin, rhs_pin = constrain_step(beta, a.copy(), rhs)
+    assert np.array_equal(a_pin, np.eye(3)) and np.array_equal(rhs_pin, np.zeros(3))
+    assert not np.any(solve(a_pin, rhs_pin))
+
+
+def test_constrain_unbounded_passes_through():
+    a, rhs = _lm_system()
+    work = a.copy()
+    a_out, rhs_out = constrain_step(Parameters([1.0, 0.0, -1.0]), work, rhs)
+    assert a_out is work and rhs_out is rhs
+    assert a_out.tobytes() == a.tobytes()
 
 
 # --- sufficient decrease ----------------------------------------------------
@@ -478,9 +516,10 @@ def _search_setup():
 def test_backtrack_full_step_one_evaluation():
     beta, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([0.1, 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (1.0, True)
     assert ev.count == 1
+    assert np.array_equal(trial, [-1.0, -1.0])
     assert np.array_equal(r_new, [0.1, 0.0])
 
 
@@ -505,9 +544,10 @@ def test_backtrack_half_step_two_evaluations():
         return np.array([1.0, 1.0]) if point[0] == -1.0 else np.array([0.1, 0.0])
 
     ev, seen = _trial_points(fn)
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (0.5, True)
     assert ev.count == 2 and seen == [1.0, 0.5]
+    assert np.array_equal(trial, [-0.5, -0.5])
 
 
 @pytest.mark.parametrize("full_step, c, second", [
@@ -524,7 +564,8 @@ def test_backtrack_quadratic_step_is_clamped(full_step, c, second):
         return np.array(full_step) if point[0] == -1.0 else np.array([0.0, 0.0])
 
     ev, seen = _trial_points(fn)
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(armijo_c=c), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(armijo_c=c), ev, r_old,
+                                        slope)
     assert ok and alpha == pytest.approx(second, rel=1e-15)
     assert seen[0] == 1.0 and len(seen) == 2
 
@@ -538,11 +579,12 @@ def test_backtrack_floor_counts_and_argmin():
     # minimiser falls below 0.1 * a, so the clamp steps by tenths until the
     # next step would reach the 1e-4 floor.
     ev, seen = _trial_points(lambda point: np.array([3.0 + point[0], 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert seen == pytest.approx([1.0, 1 / 3, 1 / 29, 1 / 290, 1 / 2900], rel=1e-12)
     assert ev.count == 5
     assert not ok
     assert alpha == 1.0 and np.array_equal(r_new, [2.0, 0.0])
+    assert np.array_equal(trial, [-1.0, -1.0])  # the lowest-norm trial's point
 
 
 def test_backtrack_halves_without_positive_curvature():
@@ -551,7 +593,7 @@ def test_backtrack_halves_without_positive_curvature():
     beta, p, r_old, _ = _search_setup()
     ev, seen = _trial_points(
         lambda point: np.array([2.0, 0.0]) if point[0] == -1.0 else np.array([0.0, 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, 2.0)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, 2.0)
     assert (alpha, ok) == (0.5, True)
     assert seen == [1.0, 0.5]
 
@@ -559,7 +601,7 @@ def test_backtrack_halves_without_positive_curvature():
 def test_backtrack_floor_tie_keeps_larger_alpha():
     beta, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([3.0, 0.0]))
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
     assert not ok
     assert alpha == 1.0
 
@@ -573,8 +615,8 @@ def test_backtrack_failed_trial_is_skipped():
             raise EvaluatorFailure("unstable here")
         return np.array([0.1, 0.0])
 
-    alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
-                                 r_old, slope)
+    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
+                                        r_old, slope)
     assert (alpha, ok) == (0.5, True)
 
 
@@ -601,13 +643,13 @@ def test_backtrack_overflowing_trial_norm_is_rejected_silently():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
-                                     r_old, slope)
+        alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(),
+                                            CountingEvaluator(fn), r_old, slope)
     assert (alpha, ok) == (0.5, True)
     assert np.array_equal(r_new, [0.1, 0.0])
 
 
-def test_backtrack_starts_from_constrained_alpha():
+def test_backtrack_first_tries_the_clipped_full_step():
     beta = Parameters([0.5], lower=[0.0], upper=[1.0])
     p = np.array([10.0])
     r_old = np.array([1.0])
@@ -618,9 +660,9 @@ def test_backtrack_starts_from_constrained_alpha():
         seen.append(point[0])
         return np.array([0.0])
 
-    alpha, _, ok = backtrack(beta, p, SolverConfig(), fn, r_old, slope)
-    assert ok and alpha == pytest.approx(0.025)
-    assert seen[0] == pytest.approx(0.75)  # half-way point, never beyond
+    alpha, trial, _, ok = backtrack(beta, p, SolverConfig(), fn, r_old, slope)
+    assert ok and alpha == 1.0
+    assert seen == [1.0] and np.array_equal(trial, [1.0])  # clip(0.5 + 10), on the bound
 
 
 # --- convergence and damping ------------------------------------------------

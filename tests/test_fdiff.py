@@ -87,6 +87,58 @@ def test_probe_failure_names_column():
     assert "column 1" in str(err.value)
 
 
+def _boxed_spy(lower, upper):
+    """A quadratic model that fails outside the box, recording every probe."""
+    probes = []
+
+    def ev(beta):
+        probes.append(beta.copy())
+        if np.any(beta < lower) or np.any(beta > upper):
+            raise EvaluatorFailure("probe outside the box")
+        return np.array([beta[0] ** 2, beta[0] * beta[1], 3.0 * beta[1]])
+
+    return ev, probes
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+@pytest.mark.parametrize("beta", [[0.0, -1.0], [2.0, 1.0], [0.0, 1.0], [2.0, -1.0]],
+                         ids=["lower", "upper", "lower-upper", "upper-lower"])
+def test_probes_stay_inside_the_box(scheme, beta):
+    lower, upper = np.array([0.0, -1.0]), np.array([2.0, 1.0])
+    ev, probes = _boxed_spy(lower, upper)
+    beta = np.array(beta)
+    jac = fd_jacobian(ev, beta, FdConfig(scheme=scheme), lower, upper)
+    assert all(np.all(lower <= x) and np.all(x <= upper) for x in probes)
+    exact = np.array([[2.0 * beta[0], 0.0], [beta[1], beta[0]], [0.0, 3.0]])
+    assert np.all(np.isfinite(jac))
+    assert np.allclose(jac, exact, rtol=1e-5, atol=1e-5)
+
+
+def test_central_probe_on_upper_bound_divides_by_the_applied_step():
+    # The upward probe is clipped to beta itself: the quotient is the
+    # one-sided difference over h, not 0 / 0.
+    seen = []
+
+    def ev(beta):
+        seen.append(beta[0])
+        return np.array([beta[0] ** 2])
+
+    h = FdConfig().step(1.0)
+    jac = fd_jacobian(ev, np.array([1.0]), FdConfig(), [0.0], [1.0])
+    assert seen == [1.0, 1.0 - h]
+    assert jac[0, 0] == (1.0 - (1.0 - h) ** 2) / (1.0 - (1.0 - h))
+    assert jac[0, 0] == pytest.approx(2.0, rel=1e-5)
+
+
+def test_unbounded_probes_keep_their_bits():
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset())
+    beta = np.array([2.3, 0.7])
+    for scheme in ("central", "forward"):
+        config = FdConfig(scheme=scheme)
+        assert np.array_equal(fd_jacobian(ev, beta, config, [-np.inf] * 2, [np.inf] * 2),
+                              fd_jacobian(ev, beta, config))
+
+
 def test_fd_config_validation():
     with pytest.raises(ConfigError):
         FdConfig(scheme="complex")

@@ -66,9 +66,9 @@ def test_bootstrap_failure_reports_the_weighted_objective():
 
 
 def test_stagnant_steps_are_skipped_and_the_run_goes_on(monkeypatch, caplog):
-    # beta stays on its upper bound 0 while the optimum is at 5: each step
-    # halves the distance to the bound, until its squared norm falls below
-    # STAGNANT_SNORM2 and the secant updates are skipped.
+    # The solution 1e-16 is approached from 0 by steps that shrink 1e4-fold
+    # each time, until the squared norm of the step absorbed at iteration 6
+    # falls below STAGNANT_SNORM2 and its secant update is skipped.
     pairs, update = [], core.broyden_update
 
     def spy_update(b, s, t, **kwargs):
@@ -77,18 +77,52 @@ def test_stagnant_steps_are_skipped_and_the_run_goes_on(monkeypatch, caplog):
 
     monkeypatch.setattr(core, "broyden_update", spy_update)
     report, state = optimize_with_state(
-        lambda b: np.array([b[0] - 5.0, 2 * (b[0] - 5.0)]),
-        beta0=Parameters([0.0], upper=[0.0]), config=SolverConfig(max_iterations=60))
-    assert report.status is RunStatus.MaxIterations
-    assert len(report.iterations) == 60 and report.evaluation_count == 62
+        lambda b: np.array([b[0] - 1e-16, 2 * (b[0] - 1e-16)]), beta0=[0.0])
     skips = [msg for msg in caplog.messages if "secant update skipped" in msg]
-    assert skips and skips[-1].startswith("iteration 60: secant update skipped (")
-    # 60 updates and the fold of the final pair, which is itself stagnant.
-    assert len(pairs) == 61
+    assert len(skips) == 1 and skips[0].startswith("iteration 6: secant update skipped (")
+    # The run goes on after the skip: iteration 6 still solves and steps.
+    assert report.status is RunStatus.Converged and len(report.iterations) == 6
+    assert report.iterations[-1].alpha == 1.0 and report.iterations[-1].armijo_satisfied
+    assert report.final_beta.values[0] == pytest.approx(1e-16, rel=1e-6)
+    # 5 updates, the skip and the fold of the final pair, itself stagnant.
+    assert len(pairs) == 7
     s, t = [(s, t) for s, t in pairs if s @ s >= core.STAGNANT_SNORM2][-1]
     assert float(pairs[-1][0] @ pairs[-1][0]) < core.STAGNANT_SNORM2
     assert np.array_equal(state.last_step, s)
     assert np.array_equal(state.last_residual_change, t)
+
+
+def test_optimum_on_a_bound_at_zero_converges_there():
+    # The optimum 5 lies outside the box; the run reaches the bound 0 and
+    # the direction, pinned there, is 0.
+    report = optimize(lambda b: np.array([b[0] - 5.0, 2 * (b[0] - 5.0)]),
+                      beta0=Parameters([0.0], upper=[0.0]))
+    assert report.status is RunStatus.Converged
+    assert report.final_beta.values[0] == 0.0
+    assert len(report.iterations) == 2 and report.evaluation_count == 3
+    assert report.iterations[-1].p_norm == 0.0
+
+
+@pytest.mark.parametrize("refresh", [None, 1])
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("f", [np.sqrt, np.log1p, np.square],
+                         ids=["sqrt", "log1p", "square"])
+def test_optimum_on_a_bound_is_reached(f, scale, refresh):
+    # f(beta_0) x + beta_1 fits 1 - 0.5 x best at beta_0 = 0, the lower
+    # bound, and beta_1 = 0.75.  The model fails outside the box, so every
+    # evaluation, line-search trial and FD probe alike, stays inside it.
+    x = np.linspace(0.0, 1.0, 10)
+
+    def ev(b):
+        if b[0] < 0.0:
+            raise EvaluatorFailure("outside the box")
+        return scale * (f(b[0]) * x + b[1] - (1.0 - 0.5 * x))
+
+    report = optimize(ev, Parameters([1.0, 0.0], lower=[0.0, None]),
+                      SolverConfig(fd_refresh_period=refresh))
+    assert report.status is RunStatus.Converged
+    assert report.final_beta.values[0] == 0.0
+    assert report.final_beta.values[1] == pytest.approx(0.75, rel=1e-6)
 
 
 def test_default_start_is_zero():

@@ -19,13 +19,19 @@ JSON report, once writing the csv-trace.  It compares the report files as
 JSON data (``json.load``, so key order does not matter), and the csv-trace,
 the ``-v`` lines, the summary line and the exit status byte for byte.
 
+Each problem's result also counts the WARNING records the package logged
+during its fit (the first fit, for in-process workloads).
+
 Prints how many problems differ, and how many of those differ in
 ``evaluations`` or ``status`` (a changed trajectory rather than round-off);
 the first few names, each with the top-level keys that differ
 (``state_sha256``, ``objective``, ``evaluations``, ...); then per side the
-totals of each status, of evaluator calls and of failed fits, where a fit
-fails as in the benchmark: it did not converge, or its parameters lie more
-than ``workloads.TOLERANCE`` from the reference solution.
+totals of each status, of evaluator calls, of failed fits and of WARNING
+records, where a fit fails as in the benchmark: it did not converge, or its
+parameters lie more than ``workloads.TOLERANCE`` from the reference
+solution.  On ``corpus`` the calls and failed fits are also totalled per
+variant (the ``/plain``, ``/weighted``, ``/bounded`` or ``/hybrid`` suffix
+of the problem's name).
 
 Each checkout runs in its own Python subprocess, with its own ``src/`` on
 the path and ``OPENBLAS_NUM_THREADS=1``.  Both sides fit the problems that
@@ -47,6 +53,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -110,6 +117,15 @@ def _external_data(cli, p, workloads) -> dict:
             "trace": trace, "verbose": verbose, "traced": traced}
 
 
+class _WarningCounter(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
 def child(checkout: str, bench: str, workload: str) -> None:
     """Fit every problem with the checkout's package; JSON lines on stdout."""
     src = os.path.join(os.path.abspath(checkout), "src")
@@ -120,16 +136,22 @@ def child(checkout: str, bench: str, workload: str) -> None:
 
     if not os.path.abspath(broydenfit.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: imported broydenfit from {broydenfit.__file__}")
+    logged = _WarningCounter()
+    logging.getLogger("broydenfit").addHandler(logged)
     if workload == "external":
         with tempfile.TemporaryDirectory() as workdir:
             for p in workloads.build(workload, SEED, workdir):
+                logged.count = 0
                 data = _external_data(broydenfit.cli, p, workloads)
+                data["warnings"] = logged.count
                 print(json.dumps([p.name, data]), flush=True)
         return
     for p in workloads.build(workload, SEED, workdir=None):
         call = dict(p.call)
         evaluator = call.pop("evaluator")
+        logged.count = 0
         data = _report_data(broydenfit.optimize(evaluator, **call))
+        data["warnings"] = logged.count
         data.update(_state_data(*broydenfit.optimize_with_state(
             evaluator, **call, diagnostics=True)))
         print(json.dumps([p.name, data]), flush=True)
@@ -155,19 +177,20 @@ def run_side(checkout: str, bench: str, workload: str) -> dict[str, str]:
 
 
 def failed_fits(bench: str, workload: str, sides: dict[str, dict[str, str]]) -> dict:
-    """Per side, the number of fits that fail the benchmark's test."""
+    """Per side, the names of the fits that fail the benchmark's test."""
     import numpy as np
 
     sys.path.insert(0, bench)
     import workloads
 
-    failed = dict.fromkeys(sides, 0)
+    failed = {side: set() for side in sides}
     for p in workloads.generate(workload, SEED):
         ref, _ = workloads.reference(p)
         for side, reports in sides.items():
             data = json.loads(reports[p.name])
             dev = workloads.deviation(np.array(data["beta"]), ref)
-            failed[side] += data["status"] != "Converged" or not dev <= workloads.TOLERANCE
+            if data["status"] != "Converged" or not dev <= workloads.TOLERANCE:
+                failed[side].add(p.name)
     return failed
 
 
@@ -204,13 +227,18 @@ def main(argv=None) -> int:
         print(f"  differs: {name}: {', '.join(keys)}")
     if len(differ) > SHOWN:
         print(f"  ... and {len(differ) - SHOWN} more")
-    rows = collections.defaultdict(dict)
+    failed = failed_fits(bench, args.workload, reports)
+    rows = collections.defaultdict(collections.Counter)
     for side in sides:
-        data = [json.loads(text) for text in reports[side].values()]
-        for status, count in collections.Counter(d["status"] for d in data).items():
-            rows[f"status {status}"][side] = count
-        rows["evaluations"][side] = sum(d["evaluations"] for d in data)
-    rows["failed"] = failed_fits(bench, args.workload, reports)
+        for name, text in reports[side].items():
+            d = json.loads(text)
+            rows[f"status {d['status']}"][side] += 1
+            rows["warnings"][side] += d["warnings"]
+            suffixes = [""] + ([f" {name.rsplit('/', 1)[1]}"]
+                               if args.workload == "corpus" else [])
+            for suffix in suffixes:
+                rows["evaluations" + suffix][side] += d["evaluations"]
+                rows["failed" + suffix][side] += name in failed[side]
     print(f"{'':28}{'parent':>10}{'change':>10}")
     for label, row in sorted(rows.items()):
         print(f"{label:28}{row.get('parent', 0):>10}{row.get('change', 0):>10}")
