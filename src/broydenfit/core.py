@@ -376,8 +376,7 @@ def assemble_lm_system(
     if rhs is None:
         rhs = -(b.T @ r)
     a = gram.copy()
-    idx = np.diag_indices_from(a)
-    a[idx] += lam * gram[idx]
+    a.flat[::a.shape[0] + 1] += lam * np.diagonal(gram)
     return a, rhs
 
 
@@ -432,10 +431,11 @@ def check_convergence(p: np.ndarray, beta: Parameters, config: SolverConfig) -> 
 
 
 def update_lambda(lam: float, accepted: bool, config: SolverConfig) -> float:
-    """Multiplicative damping adaptation, clamped to [1e-12, 1e12]."""
+    """Multiplicative damping adaptation, clamped to [1e-12, 1e12]; an
+    increase starts from at least the floor, so ``lambda_init = 0`` grows."""
     if accepted:
         return max(lam * config.lambda_decrease, LAMBDA_FLOOR)
-    return min(lam * config.lambda_increase, LAMBDA_CAP)
+    return min(max(lam, LAMBDA_FLOOR) * config.lambda_increase, LAMBDA_CAP)
 
 
 def backtrack(
@@ -610,13 +610,17 @@ def _resolve_weights(weights, m: int) -> np.ndarray | None:
 
 
 def as_parameters(beta0, n_params: int | None = None) -> Parameters:
-    if isinstance(beta0, Parameters):
-        return beta0
+    """``beta0`` as :class:`Parameters`, or zeros of size ``n_params`` when it
+    is None; ``n_params``, where given, must agree with ``beta0``."""
     if beta0 is None:
         if n_params is None:
             raise ConfigError("either beta0 or n_params is required", key="beta0")
         return Parameters(np.zeros(n_params))
-    return Parameters(beta0)
+    beta = beta0 if isinstance(beta0, Parameters) else Parameters(beta0)
+    if n_params is not None and n_params != beta.size:
+        raise ConfigError(f"n_params gives {n_params} parameters but the run has "
+                          f"{beta.size}", key="n_params")
+    return beta
 
 
 def optimize(
@@ -634,8 +638,9 @@ def optimize(
 
     ``evaluate`` maps an n-vector to an m-vector of residuals (m >= n, fixed
     across the run) or raises :class:`EvaluatorFailure`.  ``beta0`` defaults
-    to all zeros (``n_params`` then sizes the problem).  ``weights`` may be a
-    scalar or an m-vector of strictly positive per-datum weights.
+    to all zeros of size ``n_params``, which must agree with ``beta0`` when
+    both are given.  ``weights`` may be a scalar or an m-vector of strictly
+    positive per-datum weights.
 
     The run bootstraps with two evaluations (the start and a small
     perturbation of it), then iterates: secant update of the Jacobian
@@ -646,11 +651,14 @@ def optimize(
     finite-difference Jacobian probed inside the box (``fd_config`` controls
     scheme and step sizes).
 
-    Returns a :class:`RunReport`; evaluator problems surface as
-    ``status=EvaluatorFailure`` rather than an exception, and normal
-    equations that overflow as ``LineSearchFloor`` (numpy's overflow and
-    invalid-value warnings are off for the run).  With ``diagnostics=True``
-    each record carries a condition estimate of the solved system.
+    Returns a :class:`RunReport`: ``Converged``, ``MaxIterations``,
+    ``EvaluatorFailure`` (raised by an evaluation or by ``on_iteration``) or
+    ``LineSearchFloor`` (normal equations not finite, or singular or without
+    a decreasing step at the damping cap), the last two with a
+    ``failure_reason`` prefixed ``bootstrap:`` or ``iteration k:``.  Only a
+    :class:`ConfigError` is raised; numpy's overflow and invalid-value
+    warnings are off for the run.  With ``diagnostics=True`` each record
+    carries a condition estimate of the solved system.
     """
     return _optimize(evaluate, beta0, config, weights, n_params, fd_config,
                      on_iteration, diagnostics)[0]
@@ -675,6 +683,10 @@ def optimize_with_state(
     return report, SolverState() if jac is None else jac.state()
 
 
+class _Floor(Exception):
+    """Ends a run with ``LineSearchFloor``; the message is the reason."""
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _optimize(
     evaluate: ResidualEvaluator,
@@ -687,13 +699,17 @@ def _optimize(
     diagnostics: bool,
 ) -> tuple[RunReport, _SecantJacobian | None]:
     """The optimization loop.  Returns the report and the run's secant
-    Jacobian, or None when the bootstrap failed."""
+    Jacobian, or None when the bootstrap failed.  Every stop but the
+    convergence ``break`` and the iteration cap goes through the one
+    ``except``, which prefixes the reason with ``bootstrap`` or ``iteration k``."""
     config = config or SolverConfig()
     beta = as_parameters(beta0, n_params)
     n = beta.size
     ev = _CountingEvaluator(evaluate, weights)
     records: list[IterationRecord] = []
-    r = None
+    r = jac = None
+    k = 0
+    status, reason = RunStatus.MaxIterations, None
     try:
         r = ev(beta.values)
         if ev.m < n:
@@ -701,88 +717,70 @@ def _optimize(
                               "parameters", key="evaluate")
         perturbed = perturb_initial(beta, config)
         r_pert = ev(perturbed.values)
-    except EvaluatorFailure as exc:
-        rn = np.inf if r is None else weighted_norm(r)
-        return RunReport(RunStatus.EvaluatorFailure, beta, 0.5 * rn * rn, records,
-                         ev.count, f"bootstrap: {exc}"), None
+        jac = _SecantJacobian(ev.m, n, ev.sw)
+        jac.pending = (perturbed.values - beta.values, r_pert - r)
+        beta, r = perturbed, r_pert
+        lam = config.lambda_init
 
-    jac = _SecantJacobian(ev.m, n, ev.sw)
-    jac.pending = (perturbed.values - beta.values, r_pert - r)
-    beta, r = perturbed, r_pert
-    lam = config.lambda_init
-    status, reason = RunStatus.MaxIterations, None
-
-    for k in range(1, config.max_iterations + 1):
-        if config.fd_refresh_period is not None and k % config.fd_refresh_period == 0:
-            try:
+        for k in range(1, config.max_iterations + 1):
+            if config.fd_refresh_period is not None and k % config.fd_refresh_period == 0:
                 jac.refresh(ev, beta, fd_config)
-            except EvaluatorFailure as exc:
-                status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
-                break
-        else:
-            jac.absorb(r, k)
+            else:
+                jac.absorb(r, k)
 
-        # Solve for the projected direction, escalating the damping on rank deficiency.
-        while True:
-            a, rhs = constrain_step(beta, *jac.system(r, lam))
-            try:
-                p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
-                           else (linalg.solve(a, rhs), None))
-                break
-            except ValueError as exc:  # inf or NaN: no damping makes it finite
-                status = RunStatus.LineSearchFloor
-                reason = f"iteration {k}: non-finite normal equations ({exc})"
-                break
-            except SingularSystem as exc:
-                if lam >= LAMBDA_CAP:
-                    status = RunStatus.LineSearchFloor
-                    reason = f"iteration {k}: singular system at damping cap ({exc})"
+            # The projected direction; rank deficiency escalates the damping.
+            while True:
+                a, rhs = constrain_step(beta, *jac.system(r, lam))
+                try:
+                    p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
+                               else (linalg.solve(a, rhs), None))
                     break
-                logger.debug("iteration %d: singular system, raising damping", k)
-                lam = update_lambda(lam, accepted=False, config=config)
-        if status is RunStatus.LineSearchFloor:
-            break
+                except ValueError as exc:  # inf or NaN: no damping makes it finite
+                    raise _Floor(f"non-finite normal equations ({exc})")
+                except SingularSystem as exc:
+                    if lam >= LAMBDA_CAP:
+                        raise _Floor(f"singular system at damping cap ({exc})")
+                    logger.debug("iteration %d: singular system, raising damping", k)
+                    lam = update_lambda(lam, accepted=False, config=config)
 
-        if np.any(p):
-            try:  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
+            if np.any(p):  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
                 alpha, trial, r_new, accepted = backtrack(beta, p, config, ev, r,
                                                           -float(rhs @ p))
-            except EvaluatorFailure as exc:
-                status, reason = RunStatus.EvaluatorFailure, f"iteration {k}: {exc}"
+                # A refused move's best trial still carries secant information;
+                # absorbing it corrects the approximation that produced it.
+                jac.pending = (trial - beta.values, r_new - r)
+                if accepted:
+                    beta, r = beta.with_values(trial), r_new
+            else:  # a stationary point of the projected model: nothing to try
+                alpha, accepted = 0.0, True
+
+            rn = weighted_norm(r)
+            rec = IterationRecord(
+                k=k,
+                beta=beta.values.copy(),
+                residual_norm=rn,
+                objective=0.5 * rn * rn,
+                lam=lam,
+                alpha=alpha,
+                p_norm=float(np.linalg.norm(p)),
+                max_rel_change=max_relative_change(p, beta.values),
+                armijo_satisfied=accepted,
+                condition=cond,
+            )
+            records.append(rec)
+            if on_iteration:
+                on_iteration(rec)
+
+            if check_convergence(p, beta, config):
+                status = RunStatus.Converged
                 break
-            # A refused move's best trial still carries secant information;
-            # absorbing it corrects the approximation that produced it.
-            jac.pending = (trial - beta.values, r_new - r)
-            if accepted:
-                beta, r = beta.with_values(trial), r_new
-        else:  # a stationary point of the projected model: nothing to try
-            alpha, accepted = 0.0, True
+            if not accepted and lam >= LAMBDA_CAP:
+                raise _Floor("no sufficient-decrease step at damping cap")
+            lam = update_lambda(lam, accepted, config)
+    except (EvaluatorFailure, _Floor) as exc:
+        status = (RunStatus.LineSearchFloor if isinstance(exc, _Floor)
+                  else RunStatus.EvaluatorFailure)
+        reason = f"{f'iteration {k}' if k else 'bootstrap'}: {exc}"
 
-        rn = weighted_norm(r)
-        rec = IterationRecord(
-            k=k,
-            beta=beta.values.copy(),
-            residual_norm=rn,
-            objective=0.5 * rn * rn,
-            lam=lam,
-            alpha=alpha,
-            p_norm=float(np.linalg.norm(p)),
-            max_rel_change=max_relative_change(p, beta.values),
-            armijo_satisfied=accepted,
-            condition=cond,
-        )
-        records.append(rec)
-        if on_iteration:
-            on_iteration(rec)
-
-        if check_convergence(p, beta, config):
-            status = RunStatus.Converged
-            break
-        if not accepted and lam >= LAMBDA_CAP:
-            status = RunStatus.LineSearchFloor
-            reason = f"iteration {k}: no sufficient-decrease step at damping cap"
-            break
-        lam = update_lambda(lam, accepted, config)
-
-    rn = weighted_norm(r)
+    rn = np.inf if r is None else weighted_norm(r)
     return RunReport(status, beta, 0.5 * rn * rn, records, ev.count, reason), jac

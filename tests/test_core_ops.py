@@ -377,21 +377,21 @@ def test_assemble_takes_a_given_right_hand_side():
     assert rhs is given and np.array_equal(a, np.eye(2))
 
 
-def test_lm_step_identity():
+def test_solve_identity():
     assert np.array_equal(solve(np.eye(2), np.array([-1.0, -1.0])), [-1.0, -1.0])
 
 
-def test_lm_step_scaled_identity():
+def test_solve_scaled_identity():
     p = solve(2 * np.eye(2), np.array([-1.0, -1.0]))
     assert np.allclose(p, [-0.5, -0.5], rtol=0, atol=1e-16)
 
 
-def test_lm_step_scalar():
+def test_solve_scalar():
     p = solve(np.array([[5.0]]), np.array([-3.0]))
     assert p[0] == pytest.approx(-0.6, abs=1e-16)
 
 
-def test_lm_step_singular_signal():
+def test_solve_singular_signal():
     with pytest.raises(SingularSystem):
         solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
@@ -688,6 +688,7 @@ def test_lambda_schedule():
     assert update_lambda(0.01, False, cfg) == pytest.approx(0.1)
     assert update_lambda(1e12, False, cfg) == 1e12
     assert update_lambda(1e-12, True, cfg) == 1e-12
+    assert update_lambda(0.0, False, cfg) == 1e-11
 
 
 def test_config_validation():

@@ -65,6 +65,91 @@ def test_bootstrap_failure_reports_the_weighted_objective():
         optimize(ev, beta0=[1.0, 2.0], weights=[10.0, -1.0, 10.0])
 
 
+def _fails_from(call, residuals):
+    """An evaluator that raises EvaluatorFailure("boom") from its call-th call on."""
+    calls = []
+
+    def ev(beta):
+        calls.append(1)
+        if len(calls) >= call:
+            raise EvaluatorFailure("boom")
+        return residuals(beta)
+    return ev
+
+
+def _kink(beta):
+    # A sharp kink exactly at the perturbed second start: no step decreases the norm.
+    center = 1.0 * (1.0 + SolverConfig().perturbation_rel)
+    return np.full(2, 1.0 + 1e-10 * abs(beta[0] - center))
+
+
+def _shifted(beta):
+    return np.array([beta[0] - 1.0, beta[0] + 1.0])
+
+
+def _shifted_plus_b1(beta):
+    return np.array([beta[0] - 1.0, beta[0] + 1.0, beta[1]])
+
+
+def _overflowing(beta):
+    return np.array([1e200 * beta[0] + 1e200, 1e200 * beta[1] ** 2 - 3e200,
+                     1e200 * beta[0] * beta[1]])
+
+
+def _line(beta):
+    return np.array([1.0, 3.0, 5.0]) - beta[0] - beta[1] * np.array([0.0, 1.0, 2.0])
+
+
+_HYBRID = SolverConfig(fd_refresh_period=1)
+
+# (name, evaluator factory, optimize keywords, status, failure_reason, records,
+#  calls, final_objective, SolverState all None)
+_EXITS = [
+    ("converged", lambda: lambda b: np.array([3.0, 3.0]), dict(n_params=2),
+     RunStatus.Converged, None, 1, 2, 8.999999999999998, False),
+    ("max-iterations", lambda: _line, dict(n_params=2, config=SolverConfig(max_iterations=2)),
+     RunStatus.MaxIterations, None, 2, 9, 0.452677346766747, False),
+    ("first-bootstrap-call", lambda: _fails_from(1, _shifted), dict(n_params=1),
+     RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 1, np.inf, True),
+    ("second-bootstrap-call", lambda: _fails_from(2, _shifted), dict(n_params=1),
+     RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 2, 1.0000000000000002, True),
+    ("fd-refresh", lambda: _fails_from(4, _shifted_plus_b1), dict(n_params=2, config=_HYBRID),
+     RunStatus.EvaluatorFailure, "iteration 1: probe for column 0 failed: boom", 0, 4,
+     1.00015, False),
+    ("non-finite-normal-equations", lambda: _overflowing, dict(beta0=[1.0, 2.0]),
+     RunStatus.LineSearchFloor, "iteration 1: non-finite normal equations "
+     "(array must not contain infs or NaNs)", 0, 2, np.inf, False),
+    ("singular-at-cap", lambda: _shifted, dict(n_params=2, config=_HYBRID),
+     RunStatus.LineSearchFloor, "iteration 1: singular system at damping cap "
+     "(pivot ratio 0.000e+00 below 1e-14)", 0, 6, 1.0001, False),
+    ("line-search-evaluation", lambda: _fails_from(3, _shifted), dict(n_params=1),
+     RunStatus.EvaluatorFailure,
+     "iteration 1: every line-search trial failed to evaluate: boom", 0, 16, 1.0001, False),
+    ("no-decrease-at-cap", lambda: _kink, dict(beta0=[1.0]),
+     RunStatus.LineSearchFloor, "iteration 15: no sufficient-decrease step at damping cap",
+     15, 107, 1.0000000000000002, False),
+]
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, status, reason, records, calls, objective, no_state",
+    [pytest.param(*case[1:], id=case[0]) for case in _EXITS])
+def test_every_way_a_run_ends(make, kwargs, status, reason, records, calls, objective,
+                              no_state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = optimize(make(), **kwargs)
+        with_state, state = optimize_with_state(make(), **kwargs)
+    assert report == with_state
+    assert report.status is status
+    assert report.failure_reason == reason
+    assert len(report.iterations) == records
+    assert report.evaluation_count == calls
+    assert report.final_objective == objective
+    fields = (state.broyden, state.last_step, state.last_residual_change)
+    assert all(x is None for x in fields) is no_state
+
+
 def test_stagnant_steps_are_skipped_and_the_run_goes_on(monkeypatch, caplog):
     # The solution 1e-16 is approached from 0 by steps that shrink 1e4-fold
     # each time, until the squared norm of the step absorbed at iteration 6
@@ -141,6 +226,15 @@ def test_under_determined_rejected():
         optimize(lambda beta: np.array([beta[0]]), n_params=2)
 
 
+@pytest.mark.parametrize("beta0", [[0.0], Parameters([0.0])], ids=["list", "Parameters"])
+def test_n_params_must_agree_with_beta0(beta0):
+    message = "^n_params gives 2 parameters but the run has 1$"
+    with pytest.raises(ConfigError, match=message) as err:
+        optimize(_shifted, beta0=beta0, n_params=2)
+    assert err.value.key == "n_params"
+    assert optimize(_shifted, beta0=beta0, n_params=1) == optimize(_shifted, beta0=beta0)
+
+
 def test_evaluation_count_matches_calls():
     inner = DatasetEvaluator(LinearModel(), linear_dataset())
     counter = CountingEvaluator(inner)
@@ -185,7 +279,7 @@ def _scaled_decay_fit(scale):
 
 
 _SMALL_SCALE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 4: the eye(m, n) start assumes a unit Jacobian")
+    strict=True, reason="ROADMAP item 3: the eye(m, n) start assumes a unit Jacobian")
 
 
 @pytest.mark.parametrize("k", [pytest.param(k, marks=_SMALL_SCALE) for k in range(-6, -1)]
@@ -202,17 +296,9 @@ def test_fit_does_not_depend_on_the_residual_unit(k):
 
 
 def test_line_search_floor_after_damping_cap():
-    # Sharp kink exactly at the perturbed second start: no direction can
-    # decrease the norm, and the secant matrix scale (delta) keeps the solved
-    # direction large even at the damping cap.
-    delta = 1e-10
-    center = 1.0 * (1.0 + SolverConfig().perturbation_rel)
-
-    def ev(beta):
-        bump = delta * abs(beta[0] - center)
-        return np.array([1.0 + bump, 1.0 + bump])
-
-    report = optimize(ev, [1.0])
+    # The secant matrix scale of the kink (1e-10) keeps the solved direction
+    # large even at the damping cap.
+    report = optimize(_kink, [1.0])
     assert report.status is RunStatus.LineSearchFloor
     rejected = [rec for rec in report.iterations if not rec.armijo_satisfied]
     assert rejected
@@ -222,18 +308,30 @@ def test_line_search_floor_after_damping_cap():
     assert report.iterations[-1].lam == LAMBDA_CAP
     assert not report.iterations[-1].armijo_satisfied
     # The iterate never moved off the perturbed start.
-    assert report.final_beta.values[0] == center
+    assert report.final_beta.values[0] == 1.0 * (1.0 + SolverConfig().perturbation_rel)
+
+
+@pytest.mark.parametrize("residuals, kwargs, reason, records, calls", [
+    pytest.param(_shifted, dict(n_params=2, config=SolverConfig(lambda_init=0.0,
+                                                                 fd_refresh_period=1)),
+                 "iteration 1: singular system at damping cap "
+                 "(pivot ratio 0.000e+00 below 1e-14)", 0, 6, id="singular"),
+    pytest.param(_kink, dict(beta0=[1.0], config=SolverConfig(lambda_init=0.0)),
+                 "iteration 26: no sufficient-decrease step at damping cap", 26, 184,
+                 id="no-decrease"),
+])
+def test_zero_initial_damping_still_reaches_the_cap(residuals, kwargs, reason, records,
+                                                     calls):
+    # An increase starts from the damping floor, so lambda = 0 cannot stay 0.
+    report = optimize(residuals, **kwargs)
+    assert report.status is RunStatus.LineSearchFloor
+    assert report.failure_reason == reason
+    assert len(report.iterations) == records and report.evaluation_count == calls
+    assert [rec.lam for rec in report.iterations[:2]] == [0.0, 1e-11][:records]
 
 
 def test_rejected_iterations_raise_lambda():
-    delta = 1e-10
-    center = 1.0 * (1.0 + SolverConfig().perturbation_rel)
-
-    def ev(beta):
-        bump = delta * abs(beta[0] - center)
-        return np.array([1.0 + bump, 1.0 + bump])
-
-    report = optimize(ev, [1.0])
+    report = optimize(_kink, [1.0])
     factor = SolverConfig().lambda_increase
     for prev, nxt in zip(report.iterations, report.iterations[1:]):
         if not prev.armijo_satisfied:
@@ -288,13 +386,9 @@ def test_multi_block_trajectories_are_bitwise_reproducible():
 def test_overflowing_normal_equations_end_the_run_with_a_report():
     # B^T B overflows to inf after the bootstrap update; no damping can make
     # the system finite, so the run stops at once, without a warning.
-    def evaluate(b):
-        return np.array([1e200 * b[0] + 1e200, 1e200 * b[1] ** 2 - 3e200,
-                         1e200 * b[0] * b[1]])
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = optimize(evaluate, beta0=[1.0, 2.0])
+        report = optimize(_overflowing, beta0=[1.0, 2.0])
     assert report.status is RunStatus.LineSearchFloor
     assert "non-finite normal equations" in report.failure_reason
     assert report.evaluation_count == 2 and report.iterations == []
@@ -468,6 +562,19 @@ def test_on_iteration_callback_sees_every_record():
     seen = []
     report = optimize(ev, n_params=2, on_iteration=seen.append)
     assert seen == report.iterations
+
+
+def test_on_iteration_raising_evaluator_failure_ends_the_run_with_a_report():
+    def stop_at_2(rec):
+        if rec.k == 2:
+            raise EvaluatorFailure("stopped by the caller")
+
+    ev = DatasetEvaluator(LinearModel(), linear_dataset())
+    report = optimize(ev, n_params=2, on_iteration=stop_at_2)
+    assert report.status is RunStatus.EvaluatorFailure
+    assert report.failure_reason == "iteration 2: stopped by the caller"
+    assert len(report.iterations) == 2
+    assert report.final_objective == report.iterations[-1].objective
 
 
 def test_bounded_problem_converges_to_interior_optimum():

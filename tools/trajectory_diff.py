@@ -31,7 +31,9 @@ records, where a fit fails as in the benchmark: it did not converge, or its
 parameters lie more than ``workloads.TOLERANCE`` from the reference
 solution.  On ``corpus`` the calls and failed fits are also totalled per
 variant (the ``/plain``, ``/weighted``, ``/bounded`` or ``/hybrid`` suffix
-of the problem's name).
+of the problem's name).  One ``reason`` row per distinct
+``failure_reason``, its ``iteration k: `` prefix stripped, counts the fits
+that stopped for it, so a change to the stop policy shows which exits moved.
 
 Each checkout runs in its own Python subprocess, with its own ``src/`` on
 the path and ``OPENBLAS_NUM_THREADS=1``.  Both sides fit the problems that
@@ -55,6 +57,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -113,7 +116,8 @@ def _external_data(cli, p, workloads) -> dict:
     with open(trace_path, newline="") as fh:
         trace = fh.read()
     return {"status": report["status"], "beta": report["final_beta"]["values"],
-            "evaluations": report["evaluation_count"], "report": report,
+            "evaluations": report["evaluation_count"],
+            "reason": report["failure_reason"], "report": report,
             "trace": trace, "verbose": verbose, "traced": traced}
 
 
@@ -234,14 +238,17 @@ def main(argv=None) -> int:
             d = json.loads(text)
             rows[f"status {d['status']}"][side] += 1
             rows["warnings"][side] += d["warnings"]
+            if d["reason"]:
+                rows["reason " + re.sub(r"^iteration \d+: ", "", d["reason"])][side] += 1
             suffixes = [""] + ([f" {name.rsplit('/', 1)[1]}"]
                                if args.workload == "corpus" else [])
             for suffix in suffixes:
                 rows["evaluations" + suffix][side] += d["evaluations"]
                 rows["failed" + suffix][side] += name in failed[side]
-    print(f"{'':28}{'parent':>10}{'change':>10}")
+    width = max(28, *(len(label) + 2 for label in rows))
+    print(f"{'':{width}}{'parent':>10}{'change':>10}")
     for label, row in sorted(rows.items()):
-        print(f"{label:28}{row.get('parent', 0):>10}{row.get('change', 0):>10}")
+        print(f"{label:{width}}{row.get('parent', 0):>10}{row.get('change', 0):>10}")
     return 1 if differ else 0
 
 
