@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -177,5 +178,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Entry point of ``python -m broydenfit`` and the ``broydenfit`` script.
+
+    Runs :func:`main`, flushes standard output and error, and skips
+    interpreter teardown (about 0.1 s with numpy and scipy loaded, paid by
+    every ``serve-model`` child): every file :func:`main` writes is closed
+    by the time it returns.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,18 +5,25 @@ a wrapper around closed-source simulation software.  The child is spawned
 once per run and kept alive across iterations; each evaluation is one
 newline-delimited JSON exchange on its standard input/output:
 
-    request:  {"v": 1, "id": <int>, "params": [<real> ...]}
+    request:  {"v": 1, "id": <int>, "params": [<real> ...], "binary": true}
     response: {"v": 1, "id": <int>, "residuals": [<real> ...]}
+           or {"v": 1, "id": <int>, "residuals_b64": "<base64>"}
            or {"v": 1, "id": <int>, "error": "<message>"}
 
 The id must echo the request; any other standard-output line is a protocol
-violation.  Reals carry full round-trip precision, so an in-process model
-served through this channel reproduces bit-identical residuals.  The
-child's standard error is passed through for logging.
+violation.  ``"binary": true`` offers the child the ``residuals_b64`` form:
+base64 of the residuals as little-endian float64, a non-empty whole number
+of 8-byte values.  A child may answer in either form (exactly one per
+response), and must ignore request keys it does not know, so children that
+send lists keep working.  Reals carry full round-trip precision in both
+forms, so an in-process model served through this channel reproduces
+bit-identical residuals.  The child's standard error is passed through for
+logging.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import queue
@@ -33,6 +40,9 @@ PROTOCOL_VERSION = 1
 
 # How long close() waits for the reader thread to see the exited child's EOF.
 READER_JOIN_SECONDS = 1.0
+
+# How much of a malformed response line an error message quotes.
+ECHO_CHARS = 200
 
 
 @dataclass(frozen=True)
@@ -53,47 +63,61 @@ class ExternalEvaluatorSpec:
 
 
 def encode_request(req_id: int, params) -> str:
-    return json.dumps(
-        {"v": PROTOCOL_VERSION, "id": req_id, "params": [float(p) for p in params]}
-    )
+    return json.dumps({"v": PROTOCOL_VERSION, "id": req_id,
+                       "params": [float(p) for p in params], "binary": True})
 
 
-def encode_response(req_id: int, residuals=None, error: str | None = None) -> str:
+def encode_response(req_id: int, residuals=None, error: str | None = None,
+                    binary: bool = False) -> str:
     body: dict = {"v": PROTOCOL_VERSION, "id": req_id}
     if error is not None:
         body["error"] = error
+    elif binary:
+        r = np.asarray(residuals, dtype="<f8")
+        if r.ndim != 1:
+            raise TypeError(f"residuals must be a vector, got shape {r.shape}")
+        body["residuals_b64"] = base64.b64encode(r.tobytes()).decode("ascii")
     else:
         body["residuals"] = [float(r) for r in residuals]
     return json.dumps(body)
 
 
+def _malformed(message: str, line: str) -> EvaluatorFailure:
+    # Quote only the head of the line: a response can run to megabytes.
+    more = "..." if len(line) > ECHO_CHARS else ""
+    return EvaluatorFailure(
+        f"{message}: {line[:ECHO_CHARS]!r}{more} ({len(line)} characters)",
+        category="malformed_response",
+    )
+
+
 def _decode_response(line: str, expect_id: int) -> np.ndarray:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise EvaluatorFailure(
-            f"response is not valid JSON: {line!r}", category="malformed_response"
-        ) from exc
+    except (ValueError, RecursionError) as exc:  # too deep, too many digits
+        raise _malformed("response is not valid JSON", line) from exc
     if not isinstance(obj, dict) or obj.get("v") != PROTOCOL_VERSION:
-        raise EvaluatorFailure(
-            f"response missing protocol version 1: {line!r}",
-            category="malformed_response",
-        )
+        raise _malformed("response missing protocol version 1", line)
     if obj.get("id") != expect_id:
-        raise EvaluatorFailure(
-            f"response id {obj.get('id')!r} does not echo request id {expect_id}",
-            category="malformed_response",
-        )
+        raise _malformed(f"response id does not echo request id {expect_id}", line)
     if "error" in obj:
         raise EvaluatorFailure(f"evaluator error: {obj['error']}", category="evaluation")
-    residuals = obj.get("residuals")
+    if ("residuals" in obj) == ("residuals_b64" in obj):
+        raise _malformed("response needs exactly one of residuals, residuals_b64",
+                         line)
+    if "residuals_b64" in obj:
+        try:
+            raw = base64.b64decode(obj["residuals_b64"], validate=True)
+        except (TypeError, ValueError):  # not a str, or not base64
+            raw = b""
+        if not raw or len(raw) % 8:
+            raise _malformed("residuals_b64 is not base64 of float64 values", line)
+        return np.frombuffer(raw, dtype="<f8").astype(float)
+    residuals = obj["residuals"]
     if not isinstance(residuals, list) or not all(
         isinstance(r, (int, float)) and not isinstance(r, bool) for r in residuals
     ):
-        raise EvaluatorFailure(
-            f"response carries no residual list: {line!r}",
-            category="malformed_response",
-        )
+        raise _malformed("response carries no residual list", line)
     return np.asarray(residuals, dtype=float)
 
 
@@ -213,13 +237,14 @@ def serve(evaluate, stdin, stdout) -> None:
     :class:`EvaluatorFailure`; failures, and any other exception the model
     raises, become error responses (the latter with a traceback on standard
     error) and serving continues.  Malformed request lines get an error
-    response echoing the id when one can be parsed, -1 otherwise.
+    response echoing the id when one can be parsed, -1 otherwise.  A
+    request with ``"binary": true`` gets its residuals as ``residuals_b64``.
     """
     for line in stdin:
         line = line.strip()
         if not line:
             continue
-        req_id = -1
+        req_id, binary = -1, False
         try:
             obj = json.loads(line)
             if (isinstance(obj, dict) and isinstance(obj.get("id"), int)
@@ -234,13 +259,14 @@ def serve(evaluate, stdin, stdout) -> None:
                 for p in params
             ):
                 raise ValueError("params must be a list of finite numbers")
-        except (json.JSONDecodeError, ValueError) as exc:
+            binary = obj.get("binary") is True
+        except (ValueError, OverflowError, RecursionError) as exc:
             stdout.write(encode_response(req_id, error=f"bad request: {exc}") + "\n")
             stdout.flush()
             continue
         try:
             residuals = evaluate(np.asarray(params, dtype=float))
-            reply = encode_response(req_id, residuals=residuals)
+            reply = encode_response(req_id, residuals=residuals, binary=binary)
         except (EvaluatorFailure, ConfigError) as exc:
             reply = encode_response(req_id, error=str(exc))
         except Exception as exc:  # a model bug must not end the session

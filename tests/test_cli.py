@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from broydenfit import fdiff
-from broydenfit.cli import main
+from broydenfit.cli import STATUS_EXIT, main
+from broydenfit.core import RunStatus
 from broydenfit.dataio import read_report
+from broydenfit.external import _decode_response
 
 LINEAR_CSV = "x1,y\n0,1\n1,3\n2,5\n"
 
@@ -171,3 +175,72 @@ def test_serve_model_requires_analytic_model(tmp_path, capsys):
     spec = tmp_path / "run.json"
     spec.write_text(json.dumps({"model": {"command": ["prog"]}, "n_params": 1}))
     assert main(["serve-model", "--spec", str(spec)]) == 1
+
+
+# Block-buffered standard output, as in production, so a lost flush shows.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+# ``python -m broydenfit`` with a model that raises on beta[0] == 13, and an
+# atexit hook that would speak if the interpreter were torn down.
+FAULTY_MODEL_MAIN = """
+import atexit, runpy, sys
+from broydenfit import models
+
+def residuals(model, data, beta):
+    if beta[0] == 13.0:
+        raise ZeroDivisionError("model bug at 13")
+    return exact(model, data, beta)
+
+exact, models.residuals_from_dataset = models.residuals_from_dataset, residuals
+atexit.register(lambda: print("interpreter teardown", file=sys.stderr))
+runpy.run_module("broydenfit", run_name="__main__")
+"""
+
+
+def test_serve_model_child_exits_at_once_after_eof(tmp_path):
+    spec = make_spec(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FAULTY_MODEL_MAIN, "serve-model", "--spec", str(spec)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=BUFFERED_ENV,
+    )
+    try:
+        params = [[1.0, 2.0], [13.0, 0.0], [0.0, 0.0]]
+        for k, beta in enumerate(params):
+            proc.stdin.write(json.dumps({"v": 1, "id": k, "params": beta,
+                                         "binary": True}) + "\n")
+        proc.stdin.flush()
+        replies = [proc.stdout.readline() for _ in params]
+        start = time.perf_counter()
+        proc.stdin.close()
+        code = proc.wait(timeout=30)
+        elapsed = time.perf_counter() - start
+        rest, err = proc.stdout.read(), proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert code == 0
+    assert elapsed < 1.0
+    assert np.array_equal(_decode_response(replies[0], 0), [0.0, 0.0, 0.0])
+    assert json.loads(replies[1]) == {
+        "v": 1, "id": 1, "error": "ZeroDivisionError: model bug at 13"}
+    assert np.array_equal(_decode_response(replies[2], 2), [1.0, 3.0, 5.0])
+    assert rest == ""
+    assert "Traceback" in err and "model bug at 13" in err
+    assert "interpreter teardown" not in err  # os._exit skipped it
+
+
+def test_fit_program_exit_status_and_complete_report(tmp_path):
+    spec = make_spec(tmp_path, {"solver": {"max_iterations": 2}})
+    out_path = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "broydenfit", "fit", "--spec", str(spec),
+         "--out", str(out_path)],
+        capture_output=True, text=True, timeout=60, env=BUFFERED_ENV,
+    )
+    assert proc.returncode == STATUS_EXIT[RunStatus.MaxIterations] == 2
+    assert proc.stdout.startswith("status=MaxIterations iterations=2 ")
+    report = read_report(out_path)
+    assert report.status is RunStatus.MaxIterations
+    assert len(report.iterations) == 2

@@ -1,3 +1,4 @@
+import base64
 import gc
 import io
 import json
@@ -7,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from broydenfit import (
     ConfigError,
@@ -18,7 +21,7 @@ from broydenfit import (
     LinearModel,
 )
 from broydenfit.core import _CountingEvaluator
-from broydenfit.external import serve
+from broydenfit.external import _decode_response, encode_request, serve
 from broydenfit.fdiff import fd_jacobian
 
 ECHO_CHILD = """
@@ -77,6 +80,17 @@ import json, sys
 for line, residuals in zip(sys.stdin, json.loads(sys.argv[1])):
     req = json.loads(line)
     print(json.dumps({"v": 1, "id": req["id"], "residuals": residuals}), flush=True)
+"""
+
+
+BINARY_SCRIPTED_CHILD = """
+import base64, json, struct, sys
+for line, residuals in zip(sys.stdin, json.loads(sys.argv[1])):
+    req = json.loads(line)
+    payload = struct.pack(f"<{len(residuals)}d", *residuals)
+    print(json.dumps({"v": 1, "id": req["id"],
+                      "residuals_b64": base64.b64encode(payload).decode()}),
+          flush=True)
 """
 
 
@@ -194,13 +208,21 @@ def test_one_shot_helper():
     assert np.array_equal(r, [4.0, -2.5])
 
 
-@pytest.mark.parametrize("replies, category", [
+CONTRACT_CASES = [
     ([[0.0, 0.0, 0.0], [0.0, 0.0]], "length_changed"),
     ([[1.0, 2.0], [1.0, float("nan")]], "non_finite"),
     ([[float("inf"), 2.0]], "non_finite"),
-    ([[]], "evaluation"),
-], ids=["length_changed", "nan", "inf", "empty"])
-def test_driver_and_external_evaluator_share_the_residual_contract(replies, category):
+]
+
+
+@pytest.mark.parametrize("script, replies, category", [
+    *[(SCRIPTED_CHILD, *case) for case in CONTRACT_CASES],
+    (SCRIPTED_CHILD, [[]], "evaluation"),
+    *[(BINARY_SCRIPTED_CHILD, *case) for case in CONTRACT_CASES],
+], ids=["length_changed", "nan", "inf", "empty",
+        "binary_length_changed", "binary_nan", "binary_inf"])
+def test_driver_and_external_evaluator_share_the_residual_contract(
+        script, replies, category):
     def failure(evaluate):
         for _ in replies[:-1]:
             evaluate(np.array([1.0]))
@@ -208,9 +230,9 @@ def test_driver_and_external_evaluator_share_the_residual_contract(replies, cate
             evaluate(np.array([1.0]))
         return str(err.value), err.value.category
 
-    script = iter(replies)
-    in_process = failure(_CountingEvaluator(lambda beta: next(script)))
-    with ExternalEvaluator(child(SCRIPTED_CHILD, 10.0, json.dumps(replies))) as ev:
+    script_replies = iter(replies)
+    in_process = failure(_CountingEvaluator(lambda beta: next(script_replies)))
+    with ExternalEvaluator(child(script, 10.0, json.dumps(replies))) as ev:
         external = failure(ev)
     assert in_process == external
     assert external[1] == category
@@ -304,3 +326,140 @@ def test_serve_round_trip_is_bit_exact():
     request = json.dumps({"v": 1, "id": 0, "params": [float(b) for b in beta]})
     (reply,) = run_serve(request + "\n")
     assert np.array_equal(np.asarray(reply["residuals"]), direct)
+
+
+def test_request_offers_the_binary_form():
+    # List-sending children, such as ECHO_CHILD above, ignore the key.
+    assert json.loads(encode_request(3, [0.5])) == {
+        "v": 1, "id": 3, "params": [0.5], "binary": True}
+
+
+# --- binary residual payload --------------------------------------------------
+
+@pytest.mark.parametrize("values", [
+    np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]),
+    np.random.default_rng(12).standard_normal(10_000) * np.logspace(-150, 150, 10_000),
+], ids=["tricky", "seeded_1e4"])
+def test_binary_round_trip_is_bit_exact(values):
+    request = json.dumps({"v": 1, "id": 4, "params": [1.0], "binary": True})
+    out = io.StringIO()
+    serve(lambda params: values, io.StringIO(request + "\n"), out)
+    (line,) = out.getvalue().splitlines()
+    assert set(json.loads(line)) == {"v", "id", "residuals_b64"}
+    decoded = _decode_response(line, 4)
+    assert decoded.dtype == np.dtype(float) and decoded.flags.writeable
+    assert np.array_equal(decoded.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize("extra", [{}, {"binary": False}, {"binary": 1}],
+                         ids=["absent", "false", "one"])
+def test_request_without_binary_true_gets_the_list_form(extra):
+    request = json.dumps({"v": 1, "id": 7, "params": [1, 2], **extra})
+    assert run_serve(request + "\n") == [{"v": 1, "id": 7, "residuals": [0.0, 0.0]}]
+
+
+@pytest.mark.parametrize("body", [
+    {"residuals": [1.0], "residuals_b64": base64.b64encode(bytes(8)).decode()},
+    {"residuals_b64": 12345678},
+    {"residuals_b64": ["AAAAAAAAAAA="]},
+    {"residuals_b64": "AAAA*AAAAAA="},
+    {"residuals_b64": "AAAAAAAAAAA=\n"},
+    {"residuals_b64": base64.b64encode(bytes(12)).decode()},
+    {"residuals_b64": ""},
+    {},
+], ids=["both_keys", "number", "list", "bad_char", "newline", "12_bytes", "empty",
+        "neither_key"])
+def test_malformed_binary_payload(body):
+    with pytest.raises(EvaluatorFailure) as err:
+        _decode_response(json.dumps({"v": 1, "id": 0, **body}), 0)
+    assert err.value.category == "malformed_response"
+
+
+@pytest.mark.parametrize("line", [
+    "x" * 200_000,
+    json.dumps({"v": 1, "id": 0, "residuals": ["0.5"] * 20_000}),
+    json.dumps({"v": 2, "id": 0, "residuals": [0.5] * 20_000}),
+    json.dumps({"v": 1, "id": 1, "residuals": [0.5] * 20_000}),
+], ids=["not_json", "strings", "version", "id"])
+def test_malformed_response_message_quotes_only_the_head(line):
+    with pytest.raises(EvaluatorFailure) as err:
+        _decode_response(line, 0)
+    assert err.value.category == "malformed_response"
+    message = str(err.value)
+    assert len(message) < 400
+    assert f"({len(line)} characters)" in message
+    assert repr(line[:200]) in message
+
+
+# --- fuzzing the wire ---------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+response_keys = st.sampled_from(["v", "id", "residuals", "residuals_b64", "error"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("1" * 5000)
+@example("[" * 100_000)
+def test_decode_arbitrary_text_raises_only_evaluator_failure(line):
+    try:
+        _decode_response(line, 0)
+    except EvaluatorFailure:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(response_keys, json_values), st.binary(max_size=64),
+       st.booleans())
+def test_decode_arbitrary_responses_raises_only_evaluator_failure(body, raw, encode):
+    body.setdefault("v", 1)
+    body.setdefault("id", 0)
+    if encode:
+        body["residuals_b64"] = base64.b64encode(raw).decode()
+    try:
+        r = _decode_response(json.dumps(body), 0)
+    except EvaluatorFailure:
+        return
+    assert r.dtype == np.dtype(float) and r.ndim == 1
+    if "residuals_b64" in body:
+        assert r.tobytes() == base64.b64decode(body["residuals_b64"])
+
+
+request_lines = st.one_of(
+    st.text(),
+    st.fixed_dictionaries(
+        {"v": st.sampled_from([1, 2]), "id": json_values},
+        optional={"params": st.lists(st.integers() | st.floats(), max_size=3)
+                  | json_values,
+                  "binary": json_values},
+    ).map(json.dumps),
+).map(lambda line: line.replace("\n", " "))
+
+
+def expected_id(line: str) -> int:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return -1
+    if isinstance(obj, dict) and type(obj.get("id")) is int:
+        return obj["id"]
+    return -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(request_lines, max_size=6))
+@example(['{"v": 1, "id": 3, "params": [%d]}' % 10**400])
+@example(["[" * 100_000])
+def test_serve_answers_every_line_once(lines):
+    replies = run_serve("".join(line + "\n" for line in lines))
+    answered = [line for line in lines if line.strip()]
+    assert len(replies) == len(answered)
+    for reply, line in zip(replies, answered):
+        assert reply["v"] == 1
+        assert reply["id"] == expected_id(line.strip())
+        assert len(set(reply) & {"residuals", "residuals_b64", "error"}) == 1
