@@ -77,8 +77,9 @@ def cmd_fit(args) -> int:
     return STATUS_EXIT[report.status]
 
 
-def _relative(num: float, denom: float) -> float:
-    # Absolute discrepancy when the reference vanishes.
+def _discrepancy(diff: np.ndarray, ref: np.ndarray) -> float:
+    """``|diff| / |ref|``, or ``|diff|`` when the reference vanishes."""
+    num, denom = float(np.linalg.norm(diff)), float(np.linalg.norm(ref))
     return num / denom if denom > 0 else num
 
 
@@ -106,20 +107,11 @@ def cmd_check_jacobian(args) -> int:
     )
     print(f"finite-difference scheme: {args.scheme} (matrix {jac.shape[0]}x{jac.shape[1]})")
     for j in range(jac.shape[1]):
-        disc = _relative(
-            float(np.linalg.norm(b[:, j] - jac[:, j])), float(np.linalg.norm(jac[:, j]))
-        )
-        print(f"column {j}: discrepancy {disc:.6e}")
-    frob = _relative(
-        float(np.linalg.norm(b - jac)), float(np.linalg.norm(jac))
-    )
-    print(f"frobenius: discrepancy {frob:.6e}")
+        print(f"column {j}: discrepancy {_discrepancy(b[:, j] - jac[:, j], jac[:, j]):.6e}")
+    print(f"frobenius: discrepancy {_discrepancy(b - jac, jac):.6e}")
     if state.last_step is not None:
         s = state.last_step
-        disc = _relative(
-            float(np.linalg.norm((b - jac) @ s)), float(np.linalg.norm(jac @ s))
-        )
-        print(f"secant direction: discrepancy {disc:.6e}")
+        print(f"secant direction: discrepancy {_discrepancy((b - jac) @ s, jac @ s):.6e}")
     return 0
 
 

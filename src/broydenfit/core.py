@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,6 +45,7 @@ from .errors import (
     EvaluatorFailure,
     SingularSystem,
     StagnantStep,
+    check_fields,
     check_residuals,
 )
 
@@ -180,6 +182,7 @@ class SolverConfig:
     fd_refresh_period: int | None = None
 
     def __post_init__(self):
+        check_fields(self)
         checks = [
             ("epsilon", self.epsilon > 0),
             ("armijo_c", 0 < self.armijo_c < 1),
@@ -683,6 +686,10 @@ def optimize_with_state(
     return report, SolverState() if jac is None else jac.state()
 
 
+# The config of a run given none: one object, built on first use.
+_default_config = functools.cache(SolverConfig)
+
+
 class _Floor(Exception):
     """Ends a run with ``LineSearchFloor``; the message is the reason."""
 
@@ -702,7 +709,7 @@ def _optimize(
     Jacobian, or None when the bootstrap failed.  Every stop but the
     convergence ``break`` and the iteration cap goes through the one
     ``except``, which prefixes the reason with ``bootstrap`` or ``iteration k``."""
-    config = config or SolverConfig()
+    config = config or _default_config()
     beta = as_parameters(beta0, n_params)
     n = beta.size
     ev = _CountingEvaluator(evaluate, weights)

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 import os
-import typing
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,19 +33,14 @@ from .core import (
     RunStatus,
     SolverConfig,
 )
-from .errors import ConfigError, ParseError
+from .errors import BroydenFitError, ConfigError, ParseError, check_fields, check_type
 from .external import ExternalEvaluator, ExternalEvaluatorSpec
 from .models import AnalyticModel, Dataset, DatasetEvaluator, make_model
 
 RUNSPEC_SCHEMA = "broydenfit.runspec/1"
 REPORT_SCHEMA = "broydenfit.report/1"
 
-_RUNSPEC_KEYS = {
-    "schema", "model", "dataset", "beta0", "bounds", "n_params", "solver", "weights",
-}
-# runspec/1 solver keys: the SolverConfig fields, each with the types it takes.
-_SOLVER_TYPES = {name: typing.get_args(hint) or (hint,)
-                 for name, hint in typing.get_type_hints(SolverConfig).items()}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _MODEL_ANALYTIC_KEYS = {"kind", "degree"}
 _MODEL_EXTERNAL_KEYS = {f.name for f in dataclasses.fields(ExternalEvaluatorSpec)}
 
@@ -73,13 +67,11 @@ def load_dataset(path) -> Dataset:
     order.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(rows)]
+        rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(csv.reader(fh))]
     rows = [(line, row) for line, row in rows if any(row)]
     if not rows:
         raise ParseError("empty file: expected a header row", line=1)
-    header_line, header = rows[0]
-    names = [h for h in header]
+    header_line, names = rows[0]
     if "y" not in names:
         raise ParseError("header is missing the 'y' column", line=header_line)
     if len(set(names)) != len(names):
@@ -95,106 +87,93 @@ def load_dataset(path) -> Dataset:
     if extras:
         raise ParseError(f"unknown columns {sorted(extras)}", line=header_line)
 
-    col = {name: names.index(name) for name in names}
-    data_rows = rows[1:]
-    if not data_rows:
+    if len(rows) == 1:
         raise ParseError("no data rows after the header", line=header_line + 1)
-    x = np.empty((len(data_rows), d))
-    y = np.empty(len(data_rows))
-    w = np.empty(len(data_rows)) if "weight" in col else None
-    for i, (line, row) in enumerate(data_rows):
+    table = []
+    for line, row in rows[1:]:
         if len(row) != len(names):
-            raise ParseError(
-                f"line {line}: expected {len(names)} cells, got {len(row)}", line=line
-            )
-        for j, name in enumerate(expected_x):
-            x[i, j] = _parse_cell(row[col[name]], line, name)
-        y[i] = _parse_cell(row[col["y"]], line, "y")
-        if w is not None:
-            w[i] = _parse_cell(row[col["weight"]], line, "weight")
-            if w[i] <= 0:
-                raise ParseError(
-                    f"line {line}: weight must be strictly positive, got {w[i]}",
-                    line=line,
-                )
-    return Dataset(x=x, y=y, weights=w)
+            raise ParseError(f"line {line}: expected {len(names)} cells, got {len(row)}",
+                             line=line)
+        table.append([_parse_cell(cell, line, name) for cell, name in zip(row, names)])
+    col = dict(zip(names, np.array(table).T))
+    w = col.get("weight")
+    if w is not None and np.any(w <= 0):
+        i = int(np.argmax(w <= 0))
+        line = rows[i + 1][0]
+        raise ParseError(f"line {line}: weight must be strictly positive, got {w[i]}",
+                         line=line)
+    return Dataset(x=np.column_stack([col[name] for name in expected_x]), y=col["y"],
+                   weights=w)
+
+
+def _load_json(path):
+    """The JSON data in a file; :class:`ParseError` if it cannot be decoded."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}",
+                             line=getattr(exc, "lineno", None)) from exc
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Validated run description (see runspec/1 in the README)."""
+    """Validated run description: one field per runspec/1 key (see the README),
+    ``{"uniform": w}`` weights as ``w``."""
 
     model: AnalyticModel | ExternalEvaluatorSpec
-    dataset_path: str | None = None
+    dataset: str | None = None
     beta0: np.ndarray | None = None
     bounds: tuple | None = None
     n_params: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     weights: str | float = "none"
 
+    def __post_init__(self):
+        check_fields(self)
+        weights = self.weights
+        checks = [
+            ("dataset", (self.dataset is None) == self.is_external,
+             "an analytic model needs a dataset; an external one embeds its data"),
+            ("n_params", self.n_params is None or self.n_params >= 1,
+             "n_params must be a positive integer"),
+            ("weights", weights in ("none", "column") if isinstance(weights, str)
+             else weights > 0, "weights must be 'none', 'column' or {'uniform': w > 0}"),
+            ("weights", weights != "column" or not self.is_external,
+             "weights='column' requires a dataset"),
+        ]
+        for key, ok, message in checks:
+            if not ok:
+                raise ConfigError(message, key=key)
+
     @property
     def is_external(self) -> bool:
         return isinstance(self.model, ExternalEvaluatorSpec)
 
 
-def _number(obj, key: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {obj!r}", key=key)
-    return float(obj)
+_RUNSPEC_KEYS = {f.name for f in dataclasses.fields(RunSpec)} | {"schema"}
 
 
-def _parse_solver(raw: dict) -> SolverConfig:
+def _known(raw, keys: set, key: str) -> dict:
+    """The entries under ``keys`` of the JSON object ``raw`` at runspec/1 ``key``;
+    any other entry only warns (forward compatibility)."""
     if not isinstance(raw, dict):
-        raise ConfigError("solver must be an object", key="solver")
-    unknown = set(raw) - set(_SOLVER_TYPES)
-    if unknown:
-        warnings.warn(f"ignoring unknown solver keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in _SOLVER_TYPES.keys() & set(raw):
-        value, types = raw[key], _SOLVER_TYPES[key]
-        if value is None:
-            if type(None) not in types:
-                raise ConfigError(f"{key} must not be null", key=key)
-            kwargs[key] = None
-        elif int in types:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer", key=key)
-            kwargs[key] = value
-        else:
-            kwargs[key] = _number(value, key)
-    return SolverConfig(**kwargs)
+        raise ConfigError(f"{key} must be a JSON object", key=key)
+    if set(raw) - keys:
+        warnings.warn(f"ignoring unknown {key} keys: {sorted(set(raw) - keys)}")
+    return {k: raw[k] for k in keys & set(raw)}
 
 
-def _parse_model(raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigError("model must be an object", key="model")
-    analytic = set(raw) & _MODEL_ANALYTIC_KEYS
-    external = set(raw) & _MODEL_EXTERNAL_KEYS
-    if analytic and external:
-        raise ConfigError(
-            "model mixes analytic keys and an external command; give exactly one",
-            key="model",
-        )
-    unknown = set(raw) - _MODEL_ANALYTIC_KEYS - _MODEL_EXTERNAL_KEYS
-    if unknown:
-        warnings.warn(f"ignoring unknown model keys: {sorted(unknown)}")
-    if external:
-        command = raw.get("command")
-        if not isinstance(command, list) or not all(isinstance(c, str) for c in command):
-            raise ConfigError("command must be a list of strings", key="command")
-        kwargs = {"command": tuple(command), "working_dir": raw.get("working_dir")}
-        if not isinstance(kwargs["working_dir"], (str, type(None))):
-            raise ConfigError("working_dir must be a string", key="working_dir")
-        if "timeout" in raw:
-            kwargs["timeout"] = _number(raw["timeout"], "timeout")
-        return ExternalEvaluatorSpec(**kwargs)
-    if not analytic:
+def _parse_model(raw) -> AnalyticModel | ExternalEvaluatorSpec:
+    raw = _known(raw, _MODEL_ANALYTIC_KEYS | _MODEL_EXTERNAL_KEYS, "model")
+    if raw.keys() & _MODEL_ANALYTIC_KEYS and raw.keys() & _MODEL_EXTERNAL_KEYS:
+        raise ConfigError("model mixes analytic keys and an external command; "
+                          "give exactly one", key="model")
+    if raw.keys() & _MODEL_EXTERNAL_KEYS:
+        return ExternalEvaluatorSpec(raw.pop("command", None), **raw)
+    if not raw:
         raise ConfigError("model needs either a 'kind' or a 'command'", key="model")
-    kind = raw.get("kind")
-    degree = raw.get("degree")
-    if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
-        raise ConfigError("degree must be an integer", key="degree")
-    return make_model(kind, degree)
+    return make_model(raw.get("kind"), raw.get("degree"))
 
 
 def load_runspec(path) -> RunSpec:
@@ -203,37 +182,18 @@ def load_runspec(path) -> RunSpec:
     Unknown keys only warn (forward compatibility); invalid values raise
     :class:`ConfigError` naming the key.
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("run spec must be a JSON object", key="runspec")
+    raw = _known(_load_json(path), _RUNSPEC_KEYS, "runspec")
     if raw.get("schema", RUNSPEC_SCHEMA) != RUNSPEC_SCHEMA:
         raise ConfigError(f"unsupported run-spec schema {raw['schema']!r}", key="schema")
-    unknown = set(raw) - _RUNSPEC_KEYS
-    if unknown:
-        warnings.warn(f"ignoring unknown run-spec keys: {sorted(unknown)}")
     if "model" not in raw:
         raise ConfigError("run spec needs a model", key="model")
     model = _parse_model(raw["model"])
-    external = isinstance(model, ExternalEvaluatorSpec)
-
-    dataset_path = raw.get("dataset")
-    if external and dataset_path is not None:
-        raise ConfigError(
-            "an external evaluator embeds its data; remove the dataset entry",
-            key="dataset",
-        )
-    if not external and dataset_path is None:
-        raise ConfigError("analytic models require a dataset", key="dataset")
 
     beta0 = raw.get("beta0")
     if beta0 is not None:
         if not isinstance(beta0, list) or not beta0:
             raise ConfigError("beta0 must be a non-empty array", key="beta0")
-        beta0 = np.asarray([_number(v, "beta0") for v in beta0])
+        beta0 = np.asarray([check_type(v, (float,), "beta0") for v in beta0])
 
     bounds = raw.get("bounds")
     if bounds is not None:
@@ -242,39 +202,19 @@ def load_runspec(path) -> RunSpec:
         ):
             raise ConfigError("bounds must be a non-empty array of [lower, upper] pairs",
                               key="bounds")
-        bounds = tuple(
-            (None if lo is None else _number(lo, "bounds"),
-             None if hi is None else _number(hi, "bounds"))
-            for lo, hi in bounds
-        )
-
-    n_params = raw.get("n_params")
-    if n_params is not None and (isinstance(n_params, bool) or not isinstance(n_params, int)
-                                 or n_params < 1):
-        raise ConfigError("n_params must be a positive integer", key="n_params")
+        bounds = tuple(tuple(check_type(b, (float, type(None)), "bounds") for b in pair)
+                       for pair in bounds)
 
     weights = raw.get("weights", "none")
     if isinstance(weights, dict) and set(weights) == {"uniform"}:
-        weights = _number(weights["uniform"], "weights")
-        if weights <= 0:
-            raise ConfigError("uniform weight must be positive", key="weights")
-    elif weights not in ("none", "column"):
+        weights = check_type(weights["uniform"], (float,), "weights")
+    elif not isinstance(weights, str):
         raise ConfigError(
             "weights must be 'none', 'column', or {'uniform': value}", key="weights"
         )
-    if weights == "column" and external:
-        raise ConfigError("weights='column' requires a dataset", key="weights")
-
-    solver = _parse_solver(raw.get("solver", {}))
-    return RunSpec(
-        model=model,
-        dataset_path=dataset_path,
-        beta0=beta0,
-        bounds=bounds,
-        n_params=n_params,
-        solver=solver,
-        weights=weights,
-    )
+    solver = SolverConfig(**_known(raw.get("solver", {}), _SOLVER_KEYS, "solver"))
+    return RunSpec(model=model, dataset=raw.get("dataset"), beta0=beta0, bounds=bounds,
+                   n_params=raw.get("n_params"), solver=solver, weights=weights)
 
 
 @dataclass
@@ -320,7 +260,7 @@ def prepare_run(spec: RunSpec, base_dir: str | None = None) -> RunSetup:
                 key="beta0",
             )
     else:
-        path = spec.dataset_path
+        path = spec.dataset
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         dataset = load_dataset(path)
@@ -375,18 +315,25 @@ def _to_data(value):
 
 def _from_data(cls, raw: dict):
     """A ``cls`` from its report/1 object.  A missing key takes the field's
-    default; one without a default, or a value that does not decode, fails."""
+    default; one without a default, or a value that does not decode or fit the
+    field's type (:func:`~broydenfit.errors.check_fields`), fails."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = _REPORT_KEYS.get(f.name, f.name)
         if key in raw:
             try:
                 kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(raw[key])
-            except (TypeError, ValueError) as exc:
+            except (BroydenFitError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"invalid {key!r} of a {cls.__name__}: {exc}") from exc
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ParseError(f"report is missing {key!r} of a {cls.__name__}")
-    return cls(**kwargs)
+    record = cls(**kwargs)
+    try:
+        check_fields(record)
+    except ConfigError as exc:
+        key = _REPORT_KEYS.get(exc.key, exc.key)
+        raise ParseError(f"invalid {key!r} of a {cls.__name__}: {exc}") from exc
+    return record
 
 
 # Fields whose report/1 value is not the field value itself.
@@ -433,6 +380,6 @@ def write_report(report: RunReport, path, format: str = "json") -> None:
 
 
 def read_report(path) -> RunReport:
-    """Load a report/1 JSON file back into a :class:`RunReport`."""
-    with open(path) as fh:
-        return report_from_dict(json.load(fh))
+    """Load a report/1 JSON file back into a :class:`RunReport` (or raise
+    :class:`ParseError`)."""
+    return report_from_dict(_load_json(path))

@@ -1,6 +1,13 @@
-"""Exception types shared across the package, and the residual contract."""
+"""Exception types shared across the package, the residual contract, and
+the field-type contract of the configuration records."""
 
 from __future__ import annotations
+
+import functools
+import numbers
+import reprlib
+import typing
+from types import UnionType
 
 import numpy as np
 
@@ -70,6 +77,53 @@ def check_residuals(r: np.ndarray, m: int | None) -> int:
         bad = int(np.flatnonzero(~np.isfinite(r))[0])
         raise EvaluatorFailure(f"non-finite residual at index {bad}", category="non_finite")
     return r.size
+
+
+_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "a boolean",
+          tuple[str, ...]: "a list of strings", type(None): "null"}
+
+
+def check_type(value, types: tuple, key: str):
+    """``value`` as stored in a field of one of ``types``: an int becomes a float
+    in a ``float`` field, a list a tuple in a ``tuple[X, ...]`` one.  A bool is
+    not a number and a string is not a list of strings; a value that fits no
+    type raises :class:`ConfigError` naming ``key``."""
+    if type(value) in types:  # the common case, and the fast one
+        return value
+    for option in types:
+        if option in (int, float):
+            abc = numbers.Integral if option is int else numbers.Real
+            if isinstance(value, abc) and not isinstance(value, bool):
+                try:
+                    return option(value)
+                except OverflowError:  # an int beyond float range
+                    pass
+        elif typing.get_origin(option) is None:
+            if isinstance(value, option):
+                return value
+        elif isinstance(value, (list, tuple)) and all(  # list[X] or tuple[X, ...]
+                isinstance(v, typing.get_args(option)[0]) for v in value):
+            return typing.get_origin(option)(value)
+    names = " or ".join(_NAMES.get(option) or option.__name__ for option in types)
+    raise ConfigError(f"{key} must be {names}, got {reprlib.repr(value)}", key=key)
+
+
+@functools.cache
+def _field_types(cls) -> list[tuple[str, tuple]]:
+    """The name and the types (a union's members) of each field of ``cls``."""
+    return [(name, typing.get_args(hint) if isinstance(hint, UnionType) else (hint,))
+            for name, hint in typing.get_type_hints(cls).items()]
+
+
+def check_fields(record) -> None:
+    """Check each field of the dataclass ``record`` against its annotation
+    with :func:`check_type`, keyed by the field's name, and store the value
+    as checked."""
+    for name, types in _field_types(type(record)):
+        value = getattr(record, name)
+        stored = check_type(value, types, name)
+        if stored is not value:
+            object.__setattr__(record, name, stored)
 
 
 class SingularSystem(BroydenFitError):

@@ -24,6 +24,7 @@ logging.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import queue
@@ -34,14 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure, check_residuals
+from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals
 
 PROTOCOL_VERSION = 1
 
 # How long close() waits for the reader thread to see the exited child's EOF.
 READER_JOIN_SECONDS = 1.0
 
-# How much of a malformed response line an error message quotes.
+# How much of a malformed response line, or of a child's error, a message quotes.
 ECHO_CHARS = 200
 
 
@@ -54,12 +55,12 @@ class ExternalEvaluatorSpec:
     timeout: float = 3600.0
 
     def __post_init__(self):
-        object.__setattr__(self, "command", tuple(self.command))
+        check_fields(self)
         if not self.command:
-            raise ConfigError("external evaluator command must be non-empty",
-                              key="command")
-        if not self.timeout > 0:
-            raise ConfigError("timeout must be positive", key="timeout")
+            raise ConfigError("external evaluator command must be non-empty", key="command")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s",
+                              key="timeout")
 
 
 def encode_request(req_id: int, params) -> str:
@@ -82,13 +83,14 @@ def encode_response(req_id: int, residuals=None, error: str | None = None,
     return json.dumps(body)
 
 
+def _quote(text: str) -> str:
+    # Only the head of the text: a response can run to megabytes.
+    more = "..." if len(text) > ECHO_CHARS else ""
+    return f"{text[:ECHO_CHARS]!r}{more} ({len(text)} characters)"
+
+
 def _malformed(message: str, line: str) -> EvaluatorFailure:
-    # Quote only the head of the line: a response can run to megabytes.
-    more = "..." if len(line) > ECHO_CHARS else ""
-    return EvaluatorFailure(
-        f"{message}: {line[:ECHO_CHARS]!r}{more} ({len(line)} characters)",
-        category="malformed_response",
-    )
+    return EvaluatorFailure(f"{message}: {_quote(line)}", category="malformed_response")
 
 
 def _decode_response(line: str, expect_id: int) -> np.ndarray:
@@ -101,7 +103,11 @@ def _decode_response(line: str, expect_id: int) -> np.ndarray:
     if obj.get("id") != expect_id:
         raise _malformed(f"response id does not echo request id {expect_id}", line)
     if "error" in obj:
-        raise EvaluatorFailure(f"evaluator error: {obj['error']}", category="evaluation")
+        error = obj["error"]
+        error = error if isinstance(error, str) else json.dumps(error)
+        raise EvaluatorFailure(  # in full when short
+            f"evaluator error: {error if len(error) <= ECHO_CHARS else _quote(error)}",
+            category="evaluation")
     if ("residuals" in obj) == ("residuals_b64" in obj):
         raise _malformed("response needs exactly one of residuals, residuals_b64",
                          line)
@@ -114,11 +120,10 @@ def _decode_response(line: str, expect_id: int) -> np.ndarray:
             raise _malformed("residuals_b64 is not base64 of float64 values", line)
         return np.frombuffer(raw, dtype="<f8").astype(float)
     residuals = obj["residuals"]
-    if not isinstance(residuals, list) or not all(
-        isinstance(r, (int, float)) and not isinstance(r, bool) for r in residuals
-    ):
-        raise _malformed("response carries no residual list", line)
-    return np.asarray(residuals, dtype=float)
+    if isinstance(residuals, list) and all(type(r) in (int, float) for r in residuals):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            return np.asarray(residuals, dtype=float)
+    raise _malformed("response carries no residual list", line)
 
 
 class ExternalEvaluator:
@@ -150,7 +155,7 @@ class ExternalEvaluator:
                 stderr=None,
                 text=True,
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an argument
             self._dead = f"could not start {self.spec.command[0]!r}: {exc}"
             raise EvaluatorFailure(self._dead, category="spawn") from exc
         # Reader thread decouples blocking pipe reads from the timeout logic.

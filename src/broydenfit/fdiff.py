@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure
+from .errors import ConfigError, EvaluatorFailure, check_fields
 
 SCHEMES = ("central", "forward")
 
@@ -30,12 +30,12 @@ class FdConfig:
     h_abs: float = 1e-8
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}", key="scheme")
-        if not self.h_rel > 0:
-            raise ConfigError("h_rel must be positive", key="h_rel")
-        if not self.h_abs > 0:
-            raise ConfigError("h_abs must be positive", key="h_abs")
+        check_fields(self)
+        for key, ok in (("scheme", self.scheme in SCHEMES), ("h_rel", self.h_rel > 0),
+                        ("h_abs", self.h_abs > 0)):
+            if not ok:
+                raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}",
+                                  key=key)
 
     def step(self, beta_j: float) -> float:
         return self.h_rel * max(abs(beta_j), self.h_abs / self.h_rel)

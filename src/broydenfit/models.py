@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure
+from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals, check_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +103,7 @@ class PolynomialModel(AnalyticModel):
     kind: str = "polynomial"
 
     def __post_init__(self):
+        check_fields(self)
         if self.degree < 0:
             raise ConfigError("polynomial degree must be >= 0", key="degree")
 
@@ -141,22 +142,22 @@ class LogisticModel(AnalyticModel):
             return beta[0] / (1.0 + np.exp(-beta[1] * self._require_univariate(x)))
 
 
-MODEL_KINDS = ("linear", "polynomial", "exponential-decay", "logistic")
+_MODELS = {model.kind: model for model in (LinearModel, PolynomialModel,
+                                          ExponentialDecayModel, LogisticModel)}
+MODEL_KINDS = tuple(_MODELS)
 
 
 def make_model(kind: str, degree: int | None = None) -> AnalyticModel:
-    if kind == "linear":
-        return LinearModel()
-    if kind == "polynomial":
-        if degree is None:
-            raise ConfigError("polynomial model requires a degree", key="degree")
-        return PolynomialModel(degree=degree)
-    if kind == "exponential-decay":
-        return ExponentialDecayModel()
-    if kind == "logistic":
-        return LogisticModel()
-    raise ConfigError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})",
-                      key="model")
+    """The built-in model named ``kind``; ``degree`` is the polynomial's."""
+    check_type(degree, (int, type(None)), "degree")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})",
+                          key="model")
+    if kind != "polynomial":
+        return _MODELS[kind]()
+    if degree is None:
+        raise ConfigError("polynomial model requires a degree", key="degree")
+    return PolynomialModel(degree=degree)
 
 
 def residuals_from_dataset(
@@ -165,25 +166,17 @@ def residuals_from_dataset(
     """observed - predicted, in dataset order.
 
     Raises:
-        EvaluatorFailure: when the prediction is not finite at some datum
-            (the message names the first offending row).
+        EvaluatorFailure: when a residual is not finite
+            (:func:`~broydenfit.errors.check_residuals` names the first).
     """
     beta = np.asarray(beta, dtype=float)
     expected = model.param_count(data.d)
     if beta.size != expected:
-        raise ConfigError(
-            f"{model.kind} model over {data.d} variable(s) takes {expected} "
-            f"parameters, got {beta.size}",
-            key="beta0",
-        )
-    f = np.asarray(model.predict(data.x, beta), dtype=float)
-    if not np.all(np.isfinite(f)):
-        bad = int(np.flatnonzero(~np.isfinite(f))[0])
-        raise EvaluatorFailure(
-            f"{model.kind} model value not finite at datum {bad}",
-            category="non_finite",
-        )
-    return data.y - f
+        raise ConfigError(f"{model.kind} model over {data.d} variable(s) takes "
+                          f"{expected} parameters, got {beta.size}", key="beta0")
+    r = data.y - np.asarray(model.predict(data.x, beta), dtype=float)
+    check_residuals(r, data.m)
+    return r
 
 
 class DatasetEvaluator:

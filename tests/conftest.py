@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import broydenfit
 from broydenfit import (
@@ -20,6 +21,15 @@ from broydenfit import (
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [str(Path(broydenfit.__file__).resolve().parents[1])]
     + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
+
+
+# Any JSON value, small: what a file or a wire message can carry.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
 )
 
 

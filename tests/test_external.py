@@ -24,6 +24,8 @@ from broydenfit.core import _CountingEvaluator
 from broydenfit.external import _decode_response, encode_request, serve
 from broydenfit.fdiff import fd_jacobian
 
+from conftest import json_values
+
 ECHO_CHILD = """
 import json, sys
 for line in sys.stdin:
@@ -193,10 +195,35 @@ def test_error_response_is_evaluation_failure():
         assert "cannot evaluate" in str(err.value)
 
 
+@pytest.mark.parametrize("error", ["x" * 200_000, ["y" * 1000] * 200, "short"],
+                         ids=["long_text", "long_list", "short_text"])
+def test_error_response_message_quotes_only_the_head(error):
+    with pytest.raises(EvaluatorFailure) as err:
+        _decode_response(json.dumps({"v": 1, "id": 0, "error": error}), 0)
+    assert err.value.category == "evaluation"
+    text = error if isinstance(error, str) else json.dumps(error)
+    message = str(err.value)
+    if len(text) <= 200:
+        assert message == f"evaluator error: {text}"
+    else:
+        assert message == f"evaluator error: {text[:200]!r}... ({len(text)} characters)"
+
+
 def test_spawn_failure():
     ev = ExternalEvaluator(
         ExternalEvaluatorSpec(command=("/no/such/binary-here",), timeout=1.0)
     )
+    with pytest.raises(EvaluatorFailure) as err:
+        ev(np.array([1.0]))
+    assert err.value.category == "spawn"
+
+
+@pytest.mark.parametrize("command, working_dir", [
+    ((sys.executable, "-c", "pass\0"), None),
+    ((sys.executable,), "a\0b"),
+], ids=["argument", "working_dir"])
+def test_spawn_failure_on_a_nul_byte(command, working_dir):
+    ev = ExternalEvaluator(ExternalEvaluatorSpec(command, working_dir, timeout=1.0))
     with pytest.raises(EvaluatorFailure) as err:
         ev(np.array([1.0]))
     assert err.value.category == "spawn"
@@ -393,12 +420,6 @@ def test_malformed_response_message_quotes_only_the_head(line):
 
 # --- fuzzing the wire ---------------------------------------------------------
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=8,
-)
 response_keys = st.sampled_from(["v", "id", "residuals", "residuals_b64", "error"])
 
 

@@ -39,7 +39,7 @@ def test_decay_overflow_names_datum():
     with pytest.raises(EvaluatorFailure) as err:
         residuals_from_dataset(ExponentialDecayModel(), data, np.array([1.0, -1000.0]))
     assert err.value.category == "non_finite"
-    assert "datum 1" in str(err.value)
+    assert "index 1" in str(err.value)  # check_residuals' message, shared by all evaluators
 
 
 def test_constant_polynomial():
