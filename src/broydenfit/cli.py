@@ -49,8 +49,8 @@ def _print_record(rec) -> None:
     )
 
 
-def _load_setup(spec_path: str) -> dataio.RunSetup:
-    spec = dataio.load_runspec(spec_path)
+def _load_setup(spec_path: str, spec: dataio.RunSpec | None = None) -> dataio.RunSetup:
+    spec = dataio.load_runspec(spec_path) if spec is None else spec
     return dataio.prepare_run(spec, base_dir=os.path.dirname(os.path.abspath(spec_path)))
 
 
@@ -116,11 +116,10 @@ def cmd_check_jacobian(args) -> int:
 
 
 def cmd_serve_model(args) -> int:
-    with _load_setup(args.spec) as setup:
-        if setup.model is None:
-            raise ConfigError(
-                "serve-model needs an analytic model with a dataset", key="model"
-            )
+    spec = dataio.load_runspec(args.spec)
+    if spec.is_external:
+        raise ConfigError("serve-model needs an analytic model with a dataset", key="model")
+    with _load_setup(args.spec, spec) as setup:
         external.serve(setup.evaluate, sys.stdin, sys.stdout)
     return 0
 
@@ -146,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit, then compare the secant matrix against finite differences",
     )
     p_chk.add_argument("--spec", required=True, help="run-spec JSON file")
-    p_chk.add_argument("--scheme", choices=("central", "forward"), default="central")
+    p_chk.add_argument("--scheme", choices=fdiff.SCHEMES, default=fdiff.FdConfig.scheme)
     p_chk.add_argument("-v", "--verbose", action="store_true")
     p_chk.set_defaults(func=cmd_check_jacobian)
 

@@ -47,6 +47,7 @@ from .errors import (
     StagnantStep,
     check_fields,
     check_residuals,
+    check_type,
 )
 
 logger = logging.getLogger(__name__)
@@ -72,9 +73,9 @@ ResidualEvaluator = Callable[[np.ndarray], np.ndarray]
 def _as_bound(bound, n: int, default: float) -> np.ndarray:
     if bound is None:
         return np.full(n, default)
-    arr = np.asarray(
-        [default if b is None else float(b) for b in np.atleast_1d(bound)], dtype=float
-    )
+    if isinstance(bound, (list, tuple)):
+        bound = [default if b is None else b for b in bound]
+    arr = np.array(check_type(bound, (np.ndarray,), "bounds"))
     if arr.shape != (n,):
         raise ConfigError(f"bounds length {arr.shape} does not match n={n}", key="bounds")
     return arr
@@ -97,10 +98,11 @@ def _fields_equal(self, other) -> bool:
 class Parameters:
     """Parameter vector with optional per-coordinate box bounds.
 
-    ``lower``/``upper`` use -inf/+inf for unbounded sides.  Construction
-    validates the bounds (non-degenerate, not NaN) and then the values:
-    finite and inside the bounds.  :meth:`with_values` keeps the validated
-    bounds and checks only the new values.
+    ``lower``/``upper`` use -inf/+inf (or None) for unbounded sides; all three
+    are stored as read-only float64 copies.  Construction validates the bounds
+    (non-degenerate, not NaN) and then the values: finite and inside the
+    bounds.  :meth:`with_values` keeps the validated bounds and checks only
+    the new values.
     """
 
     values: np.ndarray
@@ -108,7 +110,8 @@ class Parameters:
     upper: np.ndarray
 
     def __init__(self, values, lower=None, upper=None):
-        n = np.size(values)
+        values = check_type(values, (np.ndarray,), "beta0")
+        n = values.size
         lo = _as_bound(lower, n, -np.inf)
         hi = _as_bound(upper, n, np.inf)
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
@@ -122,7 +125,7 @@ class Parameters:
         self._set_values(values)
 
     def _set_values(self, values) -> None:
-        values = np.atleast_1d(np.array(values, dtype=float))
+        values = np.array(check_type(values, (np.ndarray,), "beta0"))
         if values.ndim != 1 or values.size < 1:
             raise ConfigError("parameter vector must be 1-D and non-empty", key="beta0")
         if values.shape != self.lower.shape:
@@ -514,7 +517,8 @@ class _CountingEvaluator:
     ``sw * r`` (``r`` itself when unweighted, ``sw`` None)."""
 
     def __init__(self, fn: ResidualEvaluator, weights=None):
-        self.fn, self.weights = fn, weights
+        self.fn = fn
+        self.weights = check_type(weights, (float, np.ndarray, type(None)), "weights")
         self.m: int | None = None
         self.sw: np.ndarray | None = None
         self.count = 0
@@ -598,13 +602,10 @@ class _SecantJacobian:
 
 
 def _resolve_weights(weights, m: int) -> np.ndarray | None:
-    """``sqrt(w)`` of valid weights (a scalar or an m-vector), or None."""
+    """``sqrt(w)`` of valid weights (a float or an m-vector), or None."""
     if weights is None:
         return None
-    if np.isscalar(weights):
-        w = np.full(m, float(weights))
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.full(m, weights) if isinstance(weights, float) else weights
     if w.shape != (m,):
         raise ConfigError(f"expected {m} weights, got shape {w.shape}", key="weights")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .core import (
     SolverConfig,
 )
 from .errors import BroydenFitError, ConfigError, ParseError, check_fields, check_type
+from .errors import _field_types
 from .external import ExternalEvaluator, ExternalEvaluatorSpec
 from .models import AnalyticModel, Dataset, DatasetEvaluator, make_model
 
@@ -60,14 +62,25 @@ def _parse_cell(text: str, line: int, column: str) -> float:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset/1 file.
+    """Read a dataset/1 file, UTF-8 text.
 
     The header must name columns ``x1..xd`` (d >= 1, contiguous) and ``y``;
     a ``weight`` column is optional.  Column order is free; rows keep file
-    order.
+    order.  A path ``open`` refuses as a value is a ``ConfigError`` naming ``dataset``.
     """
-    with open(path, newline="") as fh:
-        rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(csv.reader(fh))]
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"dataset path {path!r}: {exc}", key="dataset") from None
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(reader)]
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: not UTF-8 text ({exc.reason})", line=line) from None
+    except csv.Error as exc:  # a cell beyond csv's field size limit
+        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
     rows = [(line, row) for line, row in rows if any(row)]
     if not rows:
         raise ParseError("empty file: expected a header row", line=1)
@@ -189,12 +202,6 @@ def load_runspec(path) -> RunSpec:
         raise ConfigError("run spec needs a model", key="model")
     model = _parse_model(raw["model"])
 
-    beta0 = raw.get("beta0")
-    if beta0 is not None:
-        if not isinstance(beta0, list) or not beta0:
-            raise ConfigError("beta0 must be a non-empty array", key="beta0")
-        beta0 = np.asarray([check_type(v, (float,), "beta0") for v in beta0])
-
     bounds = raw.get("bounds")
     if bounds is not None:
         if not isinstance(bounds, list) or not bounds or not all(
@@ -213,8 +220,9 @@ def load_runspec(path) -> RunSpec:
             "weights must be 'none', 'column', or {'uniform': value}", key="weights"
         )
     solver = SolverConfig(**_known(raw.get("solver", {}), _SOLVER_KEYS, "solver"))
-    return RunSpec(model=model, dataset=raw.get("dataset"), beta0=beta0, bounds=bounds,
-                   n_params=raw.get("n_params"), solver=solver, weights=weights)
+    return RunSpec(model=model, dataset=raw.get("dataset"), beta0=raw.get("beta0"),
+                   bounds=bounds, n_params=raw.get("n_params"), solver=solver,
+                   weights=weights)
 
 
 @dataclass
@@ -225,7 +233,6 @@ class RunSetup:
     beta0: Parameters
     config: SolverConfig
     weights: np.ndarray | float | None
-    model: AnalyticModel | None = None
 
     def close(self):
         if isinstance(self.evaluate, ExternalEvaluator):
@@ -281,8 +288,7 @@ def prepare_run(spec: RunSpec, base_dir: str | None = None) -> RunSetup:
                               key="weights")
     if dataset is None:
         return RunSetup(ExternalEvaluator(spec.model), beta0, spec.solver, weights)
-    return RunSetup(DatasetEvaluator(spec.model, dataset), beta0, spec.solver, weights,
-                    model=spec.model)
+    return RunSetup(DatasetEvaluator(spec.model, dataset), beta0, spec.solver, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +305,12 @@ TRACE_COLUMNS = (
 )
 
 
+_NON_FINITE = ("Infinity", "-Infinity", "NaN")  # standard JSON has no such numbers
+
+
 def _to_data(value):
-    """A report field as JSON data; infinite bounds are written as null."""
+    """A report field as JSON data; a non-finite float is one of ``_NON_FINITE``,
+    but in an array, where it is an unbounded side of a box, null."""
     if dataclasses.is_dataclass(value):
         return {_REPORT_KEYS.get(f.name, f.name): _to_data(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
@@ -310,6 +320,8 @@ def _to_data(value):
         return [v if math.isfinite(v) else None for v in value.tolist()]
     if isinstance(value, RunStatus):
         return value.value
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
     return value
 
 
@@ -318,11 +330,15 @@ def _from_data(cls, raw: dict):
     default; one without a default, or a value that does not decode or fit the
     field's type (:func:`~broydenfit.errors.check_fields`), fails."""
     kwargs = {}
+    types = dict(_field_types(cls))
     for f in dataclasses.fields(cls):
         key = _REPORT_KEYS.get(f.name, f.name)
         if key in raw:
+            value = raw[key]
+            if float in types[f.name] and value in _NON_FINITE:
+                value = float(value)
             try:
-                kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(raw[key])
+                kwargs[f.name] = _DECODE.get(f.name, lambda v: v)(value)
             except (BroydenFitError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"invalid {key!r} of a {cls.__name__}: {exc}") from exc
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -341,7 +357,6 @@ _DECODE = {
     "status": RunStatus,
     "final_beta": lambda raw: _from_data(Parameters, raw),
     "iterations": lambda raw: [_from_data(IterationRecord, rec) for rec in raw],
-    "beta": lambda raw: np.asarray(raw, dtype=float),
 }
 
 
@@ -366,7 +381,7 @@ def write_report(report: RunReport, path, format: str = "json") -> None:
     """Serialize a run report: ``json`` (lossless) or ``csv-trace``."""
     if format == "json":
         with open(path, "w") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
     elif format == "csv-trace":
         with open(path, "w", newline="") as fh:

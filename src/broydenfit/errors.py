@@ -3,6 +3,8 @@ the field-type contract of the configuration records."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import numbers
 import reprlib
@@ -80,24 +82,35 @@ def check_residuals(r: np.ndarray, m: int | None) -> int:
 
 
 _NAMES = {float: "a number", int: "an integer", str: "a string", bool: "a boolean",
-          tuple[str, ...]: "a list of strings", type(None): "null"}
+          tuple[str, ...]: "a list of strings", type(None): "null",
+          np.ndarray: "an array of numbers"}
 
 
 def check_type(value, types: tuple, key: str):
     """``value`` as stored in a field of one of ``types``: an int becomes a float
-    in a ``float`` field, a list a tuple in a ``tuple[X, ...]`` one.  A bool is
-    not a number and a string is not a list of strings; a value that fits no
-    type raises :class:`ConfigError` naming ``key``."""
-    if type(value) in types:  # the common case, and the fast one
-        return value
+    in a ``float`` field, a list a tuple in a ``tuple[X, ...]`` one, and an
+    array, list or tuple of real numbers a float64 array in an ``np.ndarray``
+    one.  A bool, a string or None is not a number, and a string is not a list
+    of strings; a value that fits no type raises :class:`ConfigError` naming ``key``."""
+    if type(value) in types and (type(value) is not np.ndarray or value.dtype == float):
+        return value  # the common case, and the fast one
     for option in types:
-        if option in (int, float):
+        if option is np.ndarray:
+            array = value
+            if isinstance(value, (list, tuple)):  # check the elements before numpy converts
+                with contextlib.suppress(ValueError):  # ragged, with arrays among them
+                    array = np.array(value, dtype=object)
+            if isinstance(array, np.ndarray) and (array.dtype.kind in "fiu" or (
+                    array.dtype.kind == "O" and all(
+                        issubclass(t, numbers.Real) and not issubclass(t, bool)
+                        for t in set(map(type, array.ravel()))))):
+                with contextlib.suppress(OverflowError):  # an int beyond float range
+                    return array.astype(float)
+        elif option in (int, float):
             abc = numbers.Integral if option is int else numbers.Real
             if isinstance(value, abc) and not isinstance(value, bool):
-                try:
+                with contextlib.suppress(OverflowError):  # an int beyond float range
                     return option(value)
-                except OverflowError:  # an int beyond float range
-                    pass
         elif typing.get_origin(option) is None:
             if isinstance(value, option):
                 return value
@@ -110,9 +123,10 @@ def check_type(value, types: tuple, key: str):
 
 @functools.cache
 def _field_types(cls) -> list[tuple[str, tuple]]:
-    """The name and the types (a union's members) of each field of ``cls``."""
-    return [(name, typing.get_args(hint) if isinstance(hint, UnionType) else (hint,))
-            for name, hint in typing.get_type_hints(cls).items()]
+    """The name and the types (a union's members) of each dataclass field of ``cls``."""
+    types = {name: typing.get_args(hint) if isinstance(hint, UnionType) else (hint,)
+             for name, hint in typing.get_type_hints(cls).items()}
+    return [(f.name, types[f.name]) for f in dataclasses.fields(cls)]
 
 
 def check_fields(record) -> None:

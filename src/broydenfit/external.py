@@ -26,7 +26,6 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
-import math
 import queue
 import subprocess
 import threading
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals
+from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals, check_type
 
 PROTOCOL_VERSION = 1
 
@@ -119,10 +118,10 @@ def _decode_response(line: str, expect_id: int) -> np.ndarray:
         if not raw or len(raw) % 8:
             raise _malformed("residuals_b64 is not base64 of float64 values", line)
         return np.frombuffer(raw, dtype="<f8").astype(float)
-    residuals = obj["residuals"]
-    if isinstance(residuals, list) and all(type(r) in (int, float) for r in residuals):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            return np.asarray(residuals, dtype=float)
+    with contextlib.suppress(ConfigError):
+        residuals = check_type(obj["residuals"], (np.ndarray,), "residuals")
+        if residuals.ndim == 1:
+            return residuals
     raise _malformed("response carries no residual list", line)
 
 
@@ -252,25 +251,20 @@ def serve(evaluate, stdin, stdout) -> None:
         req_id, binary = -1, False
         try:
             obj = json.loads(line)
-            if (isinstance(obj, dict) and isinstance(obj.get("id"), int)
-                    and not isinstance(obj.get("id"), bool)):
+            if isinstance(obj, dict) and type(obj.get("id")) is int:  # not a bool
                 req_id = obj["id"]
             if not isinstance(obj, dict) or obj.get("v") != PROTOCOL_VERSION:
                 raise ValueError("missing protocol version 1")
-            params = obj.get("params")
-            if not isinstance(params, list) or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool)
-                and math.isfinite(p)
-                for p in params
-            ):
+            params = check_type(obj.get("params"), (np.ndarray,), "params")
+            if params.ndim != 1 or not np.isfinite(params).all():
                 raise ValueError("params must be a list of finite numbers")
             binary = obj.get("binary") is True
-        except (ValueError, OverflowError, RecursionError) as exc:
+        except (ConfigError, ValueError, RecursionError) as exc:
             stdout.write(encode_response(req_id, error=f"bad request: {exc}") + "\n")
             stdout.flush()
             continue
         try:
-            residuals = evaluate(np.asarray(params, dtype=float))
+            residuals = evaluate(params)
             reply = encode_response(req_id, residuals=residuals, binary=binary)
         except (EvaluatorFailure, ConfigError) as exc:
             reply = encode_response(req_id, error=str(exc))

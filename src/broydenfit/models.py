@@ -25,29 +25,26 @@ class Dataset:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float, copy=True)
+        check_fields(self)
+        x, y, w = self.x, self.y, self.weights
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2:
             raise ConfigError(f"x must be (m, d), got shape {x.shape}", key="dataset")
-        y = np.atleast_1d(np.array(self.y, dtype=float, copy=True))
-        if x.shape[0] != y.shape[0]:
-            raise ConfigError(
-                f"x has {x.shape[0]} rows but y has {y.shape[0]}", key="dataset"
-            )
+        if y.ndim != 1 or x.shape[0] != y.size:
+            raise ConfigError(f"x has {x.shape[0]} rows but y has shape {y.shape}",
+                              key="dataset")
         if y.size < 1:
             raise ConfigError("dataset must contain at least one row", key="dataset")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ConfigError("dataset values must be finite", key="dataset")
-        w = self.weights
-        if w is not None:
-            w = np.atleast_1d(np.array(w, dtype=float, copy=True))
-            if w.shape != y.shape:
-                raise ConfigError("weights length must match y", key="weights")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ConfigError("weights must be strictly positive", key="weights")
+        if w is not None and w.shape != y.shape:
+            raise ConfigError("weights length must match y", key="weights")
+        if w is not None and not (np.all(np.isfinite(w)) and np.all(w > 0)):
+            raise ConfigError("weights must be strictly positive", key="weights")
         for name, arr in (("x", x), ("y", y), ("weights", w)):
             if arr is not None:
+                arr = np.array(arr)  # a copy, which is then read-only
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -63,7 +60,7 @@ class Dataset:
 class AnalyticModel:
     """Base for the built-in model set; subclasses define the prediction."""
 
-    kind: str
+    kind: str  # a class constant of each subclass, not a field
 
     def param_count(self, d: int) -> int:
         raise NotImplementedError
@@ -84,7 +81,7 @@ class AnalyticModel:
 class LinearModel(AnalyticModel):
     """Intercept plus a slope per independent variable."""
 
-    kind: str = "linear"
+    kind = "linear"
 
     def param_count(self, d: int) -> int:
         return d + 1
@@ -100,7 +97,7 @@ class PolynomialModel(AnalyticModel):
     """Univariate polynomial; degree 0 is the constant model."""
 
     degree: int = 1
-    kind: str = "polynomial"
+    kind = "polynomial"
 
     def __post_init__(self):
         check_fields(self)
@@ -118,7 +115,7 @@ class PolynomialModel(AnalyticModel):
 class ExponentialDecayModel(AnalyticModel):
     """amplitude * exp(-rate * x)."""
 
-    kind: str = "exponential-decay"
+    kind = "exponential-decay"
 
     def param_count(self, d: int) -> int:
         return 2
@@ -132,7 +129,7 @@ class ExponentialDecayModel(AnalyticModel):
 class LogisticModel(AnalyticModel):
     """Sigmoid amplitude / (1 + exp(-rate * x))."""
 
-    kind: str = "logistic"
+    kind = "logistic"
 
     def param_count(self, d: int) -> int:
         return 2
@@ -148,16 +145,15 @@ MODEL_KINDS = tuple(_MODELS)
 
 
 def make_model(kind: str, degree: int | None = None) -> AnalyticModel:
-    """The built-in model named ``kind``; ``degree`` is the polynomial's."""
+    """The built-in model named ``kind``; only the polynomial takes a ``degree``."""
     check_type(degree, (int, type(None)), "degree")
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})",
                           key="model")
-    if kind != "polynomial":
-        return _MODELS[kind]()
-    if degree is None:
-        raise ConfigError("polynomial model requires a degree", key="degree")
-    return PolynomialModel(degree=degree)
+    if (degree is None) == (kind == "polynomial"):  # a degree for the polynomial alone
+        raise ConfigError(f"{kind} model {'requires a' if degree is None else 'takes no'} "
+                          "degree", key="degree")
+    return _MODELS[kind]() if degree is None else PolynomialModel(degree=degree)
 
 
 def residuals_from_dataset(

@@ -59,11 +59,16 @@ def test_fit_truncated_run_exits_2(tmp_path, capsys):
 
 
 def test_fit_missing_dataset_exits_1(tmp_path, capsys):
-    spec = tmp_path / "run.json"
-    spec.write_text(json.dumps({"model": {"kind": "linear"}, "dataset": "gone.csv"}))
-    code = main(["fit", "--spec", str(spec)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    (tmp_path / "latin1.csv").write_bytes(b"x1,y\n0,1\n1,3\xff\n")  # not UTF-8
+    for dataset, error in (("gone.csv", "error: [Errno 2]"),
+                           ("latin1.csv", "error: line 3: not UTF-8"),
+                           ("a\0b", "error: dataset path")):
+        spec = tmp_path / "run.json"
+        spec.write_text(json.dumps({"model": {"kind": "linear"}, "dataset": dataset}))
+        code = main(["fit", "--spec", str(spec)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
 
 
 def test_fit_invalid_config_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -254,6 +255,10 @@ def test_report_json_round_trip(tmp_path):
         optimize(ev, n_params=2, config=SolverConfig(fd_refresh_period=1)),
     ]
     assert all(rec.condition is not None for rec in reports[1].iterations)
+    overflowed = optimize(ev, n_params=2, diagnostics=True)
+    overflowed.iterations[0] = dataclasses.replace(
+        overflowed.iterations[0], residual_norm=np.inf, objective=np.inf, condition=np.inf)
+    reports.append(overflowed)
     path = tmp_path / "report.json"
     for report in reports:
         write_report(report, path, format="json")
@@ -303,9 +308,15 @@ def test_failed_report_round_trip(tmp_path):
     assert report.status is RunStatus.EvaluatorFailure
     path = tmp_path / "report.json"
     write_report(report, path, format="json")
+    raw = json.loads(path.read_text(), parse_constant=refuse_non_standard_json)
+    assert raw["final_objective"] == "Infinity"
     loaded = read_report(path)
     assert loaded == report
     assert loaded.final_objective == np.inf
+
+
+def refuse_non_standard_json(token):
+    raise ValueError(f"{token} is not standard JSON")
 
 
 def test_bounded_report_round_trip(tmp_path):

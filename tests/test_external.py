@@ -394,8 +394,12 @@ def test_request_without_binary_true_gets_the_list_form(extra):
     {"residuals_b64": base64.b64encode(bytes(12)).decode()},
     {"residuals_b64": ""},
     {},
+    {"residuals": [[0.5], [1.5]]},
+    {"residuals": [0.5, True]},
+    {"residuals": [0.5, "1.5"]},
+    {"residuals": [0.5, 10**400]},
 ], ids=["both_keys", "number", "list", "bad_char", "newline", "12_bytes", "empty",
-        "neither_key"])
+        "neither_key", "nested_list", "bool_in_list", "string_in_list", "huge_int_in_list"])
 def test_malformed_binary_payload(body):
     with pytest.raises(EvaluatorFailure) as err:
         _decode_response(json.dumps({"v": 1, "id": 0, **body}), 0)

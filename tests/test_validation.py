@@ -16,17 +16,27 @@ from hypothesis import strategies as st
 
 from broydenfit import (
     ConfigError,
+    Dataset,
     DatasetEvaluator,
     ExternalEvaluatorSpec,
     FdConfig,
     LinearModel,
+    Parameters,
     ParseError,
+    PolynomialModel,
     SolverConfig,
     make_model,
     optimize,
 )
 from broydenfit.cli import main
-from broydenfit.dataio import RunSpec, load_runspec, read_report, report_to_dict
+from broydenfit.dataio import (
+    RunSpec,
+    load_dataset,
+    load_runspec,
+    read_report,
+    report_to_dict,
+)
+from broydenfit.errors import _field_types
 from broydenfit.models import MODEL_KINDS
 
 from conftest import json_values, linear_dataset
@@ -61,6 +71,21 @@ python_values = (json_values | st.tuples(st.text(max_size=4)) | st.complex_numbe
     (lambda: RunSpec(LinearModel(), dataset="d.csv", n_params=2.0), "n_params"),
     (lambda: RunSpec(LinearModel(), dataset="d.csv", solver={}), "solver"),
     (lambda: RunSpec(LinearModel(), dataset="d.csv", weights=-1.0), "weights"),
+    # arrays: the element types are checked before numpy converts them
+    pytest.param(lambda: Parameters(["1", True]), "beta0", id="values-str"),
+    pytest.param(lambda: Parameters([1.0, True]), "beta0", id="values-bool"),
+    pytest.param(lambda: Parameters([0.0], lower=["0"]), "bounds", id="bounds-str"),
+    pytest.param(lambda: Dataset(x=[["0"]], y=[1.0]), "x", id="x-str"),
+    pytest.param(lambda: Dataset(x=[[0.0], [1.0]], y=[1.0, True]), "y", id="y-bool"),
+    pytest.param(lambda: Dataset(x=[[0.0]], y=[1.0], weights=[True]), "weights",
+                 id="dataset-weights-bool"),
+    pytest.param(lambda: optimize(DatasetEvaluator(LinearModel(), linear_dataset()),
+                                  n_params=2, weights="2"), "weights", id="optimize-weights"),
+    pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", beta0=[0, True]), "beta0",
+                 id="runspec-beta0-bool"),
+    # a degree only for the polynomial
+    pytest.param(lambda: make_model("linear", 3), "degree", id="linear-degree"),
+    pytest.param(lambda: make_model("logistic", 0), "degree", id="logistic-degree"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_wrong_types_raise_config_error_naming_the_key(build, key):
     with pytest.raises(ConfigError) as err:
@@ -77,6 +102,11 @@ def test_records_store_the_annotated_types():
     assert ExternalEvaluatorSpec(command=["prog", "arg"]).command == ("prog", "arg")
     assert type(ExternalEvaluatorSpec(command=["prog"], timeout=2).timeout) is float
     assert make_model("polynomial", 2).param_count(1) == 3
+    # a model's kind is a class constant, not a field
+    assert _field_types(PolynomialModel) == [("degree", (int,))]
+    assert _field_types(LinearModel) == []
+    with pytest.raises(TypeError):
+        LinearModel(kind="logistic")
 
 
 def test_runspec_file_and_constructor_share_the_rules(tmp_path):
@@ -88,6 +118,9 @@ def test_runspec_file_and_constructor_share_the_rules(tmp_path):
         ({"model": {"kind": "polynomial", "degree": 1.5}},
          lambda: make_model("polynomial", 1.5)),
         ({"dataset": 5}, lambda: RunSpec(LinearModel(), dataset=5)),
+        ({"model": {"kind": "linear", "degree": 3}}, lambda: make_model("linear", 3)),
+        ({"beta0": [0, True]},
+         lambda: RunSpec(LinearModel(), dataset="d.csv", beta0=[0, True])),
     ]
     for override, build in cases:
         path = tmp_path / "run.json"
@@ -232,6 +265,26 @@ def test_load_runspec_of_any_text_raises_only_config_or_parse_error(tmp_path, te
         pass
 
 
+# dataset/1 text close enough to the format to get past the header, and any bytes.
+dataset_bytes = st.binary(max_size=40) | st.builds(
+    lambda header, rows, tail: (header + rows).encode() + tail,
+    st.sampled_from(["x1,y\n", "y,x1,weight\r\n", "x1,x2,y\n", '"x1",y\n']),
+    st.text(alphabet='0123456789.,-+eEinfa_ "\n\r\x00\u00e9', max_size=40),
+    st.binary(max_size=3))
+
+
+@fuzz
+@given(dataset_bytes)
+@example(b"x1,y\n0,1\n1,3\xff\n")
+@example(b"x1,y\n0,1\n" + b"1" * 200_000 + b",1\n")
+def test_load_dataset_of_any_bytes_raises_only_parse_error(tmp_path, data):
+    (tmp_path / "d.csv").write_bytes(data)
+    try:
+        load_dataset(tmp_path / "d.csv")
+    except ParseError:
+        pass
+
+
 # --- reports ------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -251,6 +304,9 @@ def report_data():
     (("evaluation_count", ), 2.5),
     (("final_objective", ), "0"),
     (("failure_reason", ), 5),
+    (("iterations", 0, "beta"), ["3", True]),      # a string and a bool
+    (("final_beta", "values"), ["1", "2.5"]),       # strings
+    (("final_objective", ), "inf"),                 # not one of the non-finite forms
 ])
 def test_read_report_rejects_malformed_values_with_parse_error(tmp_path, report_data,
                                                                path, value):
