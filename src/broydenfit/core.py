@@ -19,6 +19,12 @@ The driver keeps that state in one object, ``_SecantJacobian``: B, its Gram
 matrix, the right-hand side and the step pair waiting to be absorbed.  Each
 iteration it absorbs the pair or refreshes B, then assembles the solve.
 
+A secant matrix can stop giving descent directions.  After
+``STALL_REFRESH_REJECTIONS`` (2) rejected line searches in a row, the next
+iteration rebuilds B in place by finite differences (MINPACK ``hybrd``'s
+rule; 2n evaluations with the default central scheme) instead of absorbing
+the pair.  A run that never rejects twice in a row never rebuilds.
+
 Weights enter once, at the residual boundary: the run's evaluator returns
 whitened residuals ``sqrt(w) * r``, whose plain least-squares problem is the
 weighted one, and B starts as ``eye(m, n)`` with ``sqrt(w)``-scaled rows.
@@ -62,6 +68,10 @@ STAGNANT_SNORM2 = 1e-30
 # The driver updates B^T B along with B, and recomputes it exactly after
 # this many secant updates to bound its round-off drift.
 GRAM_RECOMPUTE_PERIOD = 10
+
+# After this many rejected line searches in a row, the driver rebuilds B by
+# finite differences before the next solve (MINPACK hybrd's stall rule).
+STALL_REFRESH_REJECTIONS = 2
 
 # broyden_update's row blocks: about this many elements (1 MB, within a core's L2
 # cache), in whole multiples of 64 rows, which keep each row of B s unchanged.
@@ -169,8 +179,11 @@ class SolverConfig:
     perturbation_rel: relative bootstrap perturbation of nonzero parameters.
     perturbation_abs: additive bootstrap perturbation of zero parameters.
     max_iterations:   hard iteration cap.
-    fd_refresh_period: rebuild the secant matrix from finite differences
-                      every this many iterations (None = pure secant updates).
+    fd_refresh_period: also rebuild the secant matrix from finite differences
+                      every this many iterations.  Every run rebuilds it
+                      after 2 rejected line searches in a row
+                      (``STALL_REFRESH_REJECTIONS``), so None does not mean
+                      pure secant updates.  A central rebuild costs 2n calls.
     """
 
     epsilon: float = 1e-3
@@ -569,9 +582,12 @@ class _SecantJacobian:
 
     def refresh(self, ev: ResidualEvaluator, beta: Parameters,
                 fd_config: "fdiff.FdConfig | None") -> str:
-        """Rebuild B by finite differences in ``beta``'s box and drop the pending
-        pair.  An :class:`EvaluatorFailure` propagates and leaves all as it was."""
-        self.b = fdiff.fd_jacobian(ev, beta.values, fd_config, beta.lower, beta.upper)
+        """Rebuild B in place by finite differences in ``beta``'s box and drop
+        the pending pair.  An :class:`EvaluatorFailure` propagates and leaves
+        B half-written, so B is None then and :meth:`state` has none to give."""
+        b, self.b = self.b, None
+        self.b = fdiff.fd_jacobian(ev, beta.values, fd_config, beta.lower, beta.upper,
+                                   out=b)
         self.gram = self.rhs = self.pending = None
         return "refreshed"
 
@@ -587,7 +603,10 @@ class _SecantJacobian:
     def state(self) -> SolverState:
         """Fold the pending pair into B, so that B has absorbed every
         observed pair, and return B with the last pair it absorbed, both
-        un-whitened: they describe the Jacobian of the raw residuals."""
+        un-whitened: they describe the Jacobian of the raw residuals.  All
+        None after a failed rebuild."""
+        if self.b is None:
+            return SolverState()
         if self.pending is not None:
             try:
                 broyden_update(self.b, *self.pending, out=self.b)
@@ -650,10 +669,11 @@ def optimize(
     perturbation of it), then iterates: secant update of the Jacobian
     approximation, projected damped direction solve (:func:`constrain_step`),
     backtracking line search clipped to the box, damping adaptation,
-    convergence test on the projected direction.  With ``fd_refresh_period``
-    set in the config, the secant matrix is periodically replaced by a
-    finite-difference Jacobian probed inside the box (``fd_config`` controls
-    scheme and step sizes).
+    convergence test on the projected direction.  After two rejected line
+    searches in a row, and every ``fd_refresh_period`` iterations when the
+    config sets it, the secant matrix is replaced by a finite-difference
+    Jacobian probed inside the box (``fd_config`` controls scheme and step
+    sizes).
 
     Returns a :class:`RunReport`: ``Converged``, ``MaxIterations``,
     ``EvaluatorFailure`` (raised by an evaluation or by ``on_iteration``) or
@@ -681,7 +701,7 @@ def optimize_with_state(
 ) -> tuple[RunReport, SolverState]:
     """Like :func:`optimize` but also returns the final secant matrix and
     the last step pair it absorbed, for diagnostics (all ``None`` when the
-    bootstrap failed)."""
+    bootstrap or a rebuild of B by finite differences failed)."""
     report, jac = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
                             on_iteration, diagnostics)
     return report, SolverState() if jac is None else jac.state()
@@ -729,10 +749,17 @@ def _optimize(
         jac.pending = (perturbed.values - beta.values, r_pert - r)
         beta, r = perturbed, r_pert
         lam = config.lambda_init
+        rejections = 0  # rejected line searches in a row since the last rebuild
 
         for k in range(1, config.max_iterations + 1):
-            if config.fd_refresh_period is not None and k % config.fd_refresh_period == 0:
+            stalled = rejections >= STALL_REFRESH_REJECTIONS
+            period = config.fd_refresh_period
+            if stalled or (period and k % period == 0):
+                if stalled:
+                    logger.debug("iteration %d: %d rejected line searches in a row, "
+                                 "rebuilding B by finite differences", k, rejections)
                 jac.refresh(ev, beta, fd_config)
+                rejections = 0
             else:
                 jac.absorb(r, k)
 
@@ -785,6 +812,7 @@ def _optimize(
             if not accepted and lam >= LAMBDA_CAP:
                 raise _Floor("no sufficient-decrease step at damping cap")
             lam = update_lambda(lam, accepted, config)
+            rejections = 0 if accepted else rejections + 1
     except (EvaluatorFailure, _Floor) as exc:
         status = (RunStatus.LineSearchFloor if isinstance(exc, _Floor)
                   else RunStatus.EvaluatorFailure)

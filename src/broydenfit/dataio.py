@@ -33,6 +33,7 @@ from .core import (
     RunReport,
     RunStatus,
     SolverConfig,
+    _fields_equal,
 )
 from .errors import BroydenFitError, ConfigError, ParseError, check_fields, check_type
 from .errors import _field_types
@@ -129,10 +130,10 @@ def _load_json(path):
                              line=getattr(exc, "lineno", None)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunSpec:
     """Validated run description: one field per runspec/1 key (see the README),
-    ``{"uniform": w}`` weights as ``w``."""
+    ``{"uniform": w}`` weights as ``w``.  ``==`` compares ``beta0`` by value."""
 
     model: AnalyticModel | ExternalEvaluatorSpec
     dataset: str | None = None
@@ -162,6 +163,8 @@ class RunSpec:
     @property
     def is_external(self) -> bool:
         return isinstance(self.model, ExternalEvaluatorSpec)
+
+    __eq__ = _fields_equal
 
 
 _RUNSPEC_KEYS = {f.name for f in dataclasses.fields(RunSpec)} | {"schema"}

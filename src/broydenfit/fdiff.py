@@ -1,8 +1,8 @@
 """Finite-difference residual Jacobians.
 
 The Jacobian routine is the reference the secant approximation is compared
-against (``check-jacobian``) and the source of the optional periodic
-refresh.  It works on plain arrays and a residual-evaluator callable.
+against (``check-jacobian``) and the source of the driver's rebuilds of
+it, after a stall or periodic.  It works on plain arrays and a residual-evaluator callable.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ def fd_jacobian(
     config: FdConfig | None = None,
     lower: Sequence[float] | None = None,
     upper: Sequence[float] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Column-wise finite-difference residual Jacobian at ``beta``.
 
@@ -56,13 +57,16 @@ def fd_jacobian(
     to it, and a forward probe that would leave it goes to the other side if
     that has more room.  The actually-applied step (after rounding of
     ``beta_j + h`` and the clip) is used in the quotient.
+
+    Each column is written into ``out``, an (m, n) float64 array, as soon as
+    it is probed; without ``out`` the array is allocated after the first
+    probe.  Returns the array.  A failed probe leaves ``out`` part-written.
     """
     config = config or FdConfig()
     beta = np.asarray(beta, dtype=float)
     n = beta.size
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    columns = []
     base = None
     if config.scheme == "forward":
         base = np.asarray(evaluate(beta.copy()), dtype=float)
@@ -79,11 +83,14 @@ def fd_jacobian(
                 down = beta.copy()
                 down[j] = max(beta[j] - h, lo[j])
                 r_down = np.asarray(evaluate(down), dtype=float)
-                columns.append((r_up - r_down) / (up[j] - down[j]))
+                column = (r_up - r_down) / (up[j] - down[j])
             else:
-                columns.append((r_up - base) / (up[j] - beta[j]))
+                column = (r_up - base) / (up[j] - beta[j])
         except EvaluatorFailure as exc:
             raise EvaluatorFailure(
                 f"probe for column {j} failed: {exc}", category=exc.category
             ) from exc
-    return np.column_stack(columns)
+        if out is None:
+            out = np.empty((column.size, n))
+        out[:, j] = column
+    return out

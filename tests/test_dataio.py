@@ -16,6 +16,7 @@ from broydenfit import (
     optimize,
 )
 from broydenfit.dataio import (
+    RunSpec,
     load_dataset,
     load_runspec,
     prepare_run,
@@ -106,6 +107,17 @@ def test_minimal_runspec_defaults(tmp_path):
     assert spec.solver.lambda_init == 1e-2
     assert spec.weights == "none"
     assert spec.beta0 is None
+
+
+def test_runspec_equality_compares_beta0_by_value():
+    def spec(beta0, **kwargs):
+        return RunSpec(LinearModel(), dataset="d.csv", beta0=beta0, **kwargs)
+
+    assert spec([1.0, 2.0]) == spec([1.0, 2.0])
+    assert spec(None) == spec(None)
+    assert spec([1.0, 2.0]) != spec([1.0, 3.0])
+    assert spec([1.0, 2.0]) != spec(None)
+    assert spec([1.0, 2.0]) != spec([1.0, 2.0], n_params=2)
 
 
 def test_invalid_epsilon_names_key(tmp_path):

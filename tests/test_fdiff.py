@@ -87,6 +87,15 @@ def test_probe_failure_names_column():
     assert "column 1" in str(err.value)
 
 
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_fd_jacobian_writes_into_out(scheme):
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    beta, config = np.array([2.0, 0.7]), FdConfig(scheme=scheme)
+    out = np.full((40, 2), np.nan)
+    assert fd_jacobian(ev, beta, config, out=out) is out
+    assert np.array_equal(out, fd_jacobian(ev, beta, config))
+
+
 def _boxed_spy(lower, upper):
     """A quadratic model that fails outside the box, recording every probe."""
     probes = []

@@ -78,9 +78,11 @@ def _fails_from(call, residuals):
 
 
 def _kink(beta):
-    # A sharp kink exactly at the perturbed second start: no step decreases the norm.
-    center = 1.0 * (1.0 + SolverConfig().perturbation_rel)
-    return np.full(2, 1.0 + 1e-10 * abs(beta[0] - center))
+    # A sharp kink exactly at the perturbed second start: no step decreases the
+    # norm.  Its slopes differ (2e-10 above, 1e-10 below), so a central-FD
+    # rebuild of B there gives a nonzero column and the search goes on failing.
+    d = beta[0] - 1.0 * (1.0 + SolverConfig().perturbation_rel)
+    return np.full(2, 1.0 + 1e-10 * (2.0 * d if d > 0 else -d))
 
 
 def _shifted(beta):
@@ -115,7 +117,7 @@ _EXITS = [
      RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 2, 1.0000000000000002, True),
     ("fd-refresh", lambda: _fails_from(4, _shifted_plus_b1), dict(n_params=2, config=_HYBRID),
      RunStatus.EvaluatorFailure, "iteration 1: probe for column 0 failed: boom", 0, 4,
-     1.00015, False),
+     1.00015, True),
     ("non-finite-normal-equations", lambda: _overflowing, dict(beta0=[1.0, 2.0]),
      RunStatus.LineSearchFloor, "iteration 1: non-finite normal equations "
      "(array must not contain infs or NaNs)", 0, 2, np.inf, False),
@@ -127,7 +129,11 @@ _EXITS = [
      "iteration 1: every line-search trial failed to evaluate: boom", 0, 16, 1.0001, False),
     ("no-decrease-at-cap", lambda: _kink, dict(beta0=[1.0]),
      RunStatus.LineSearchFloor, "iteration 15: no sufficient-decrease step at damping cap",
-     15, 107, 1.0000000000000002, False),
+     15, 116, 1.0000000000000002, False),
+    # Iterations 1 and 2 reject, so iteration 3 rebuilds B; its first probe fails.
+    ("stall-refresh", lambda: _fails_from(17, _kink), dict(beta0=[1.0]),
+     RunStatus.EvaluatorFailure, "iteration 3: probe for column 0 failed: boom", 2, 17,
+     1.0000000000000002, True),
 ]
 
 
@@ -296,10 +302,11 @@ def test_fit_does_not_depend_on_the_residual_unit(k):
 
 
 def test_line_search_floor_after_damping_cap():
-    # The secant matrix scale of the kink (1e-10) keeps the solved direction
-    # large even at the damping cap.
+    # The scale of the kink's B (1e-10, secant or rebuilt by FD) keeps the
+    # solved direction large even at the damping cap.
     report = optimize(_kink, [1.0])
     assert report.status is RunStatus.LineSearchFloor
+    assert report.failure_reason == "iteration 15: no sufficient-decrease step at damping cap"
     rejected = [rec for rec in report.iterations if not rec.armijo_satisfied]
     assert rejected
     # Rejections escalate the damping up to its cap.
@@ -317,7 +324,7 @@ def test_line_search_floor_after_damping_cap():
                  "iteration 1: singular system at damping cap "
                  "(pivot ratio 0.000e+00 below 1e-14)", 0, 6, id="singular"),
     pytest.param(_kink, dict(beta0=[1.0], config=SolverConfig(lambda_init=0.0)),
-                 "iteration 26: no sufficient-decrease step at damping cap", 26, 184,
+                 "iteration 26: no sufficient-decrease step at damping cap", 26, 191,
                  id="no-decrease"),
 ])
 def test_zero_initial_damping_still_reaches_the_cap(residuals, kwargs, reason, records,
@@ -328,6 +335,73 @@ def test_zero_initial_damping_still_reaches_the_cap(residuals, kwargs, reason, r
     assert report.failure_reason == reason
     assert len(report.iterations) == records and report.evaluation_count == calls
     assert [rec.lam for rec in report.iterations[:2]] == [0.0, 1e-11][:records]
+
+
+def _spy_rebuilds(monkeypatch):
+    """Record each FD rebuild as [records before it, its evaluator calls]; the
+    run must pass the returned callback as ``on_iteration``."""
+    rebuilds, records, fd = [], [], fdiff.fd_jacobian
+
+    def spy_fd(evaluate, *args, **kwargs):
+        calls = []
+
+        def probe(x):
+            calls.append(1)
+            return evaluate(x)
+
+        rebuilds.append([len(records), calls])
+        return fd(probe, *args, **kwargs)
+
+    monkeypatch.setattr(fdiff, "fd_jacobian", spy_fd)
+    return rebuilds, records.append
+
+
+def test_two_rejected_searches_in_a_row_rebuild_b_once(monkeypatch):
+    # A decay fit in a tenth of the unit rejects at iterations 9 and 10 and
+    # no other: iteration 11 rebuilds B by central FD, 2n = 4 calls.
+    rebuilds, on_iteration = _spy_rebuilds(monkeypatch)
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    report = optimize(lambda beta: 0.1 * ev(beta), [1.0, 1.0], on_iteration=on_iteration)
+    assert report.status is RunStatus.Converged
+    rejected = [rec.k for rec in report.iterations if not rec.armijo_satisfied]
+    assert rejected == [9, 10]
+    assert [(before, len(calls)) for before, calls in rebuilds] == [(10, 4)]
+
+
+def test_runs_without_a_rejected_pair_make_no_rebuild(monkeypatch):
+    # The fit rejects once, at iteration 2; with the stall rule out of reach
+    # the run is the same to the bit.
+    rebuilds, on_iteration = _spy_rebuilds(monkeypatch)
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    report = optimize(lambda beta: 10.0 * ev(beta), [1.0, 1.0], on_iteration=on_iteration)
+    assert [rec.k for rec in report.iterations if not rec.armijo_satisfied] == [2]
+    assert rebuilds == []
+    monkeypatch.setattr(core, "STALL_REFRESH_REJECTIONS", 10**9)
+    assert optimize(lambda beta: 10.0 * ev(beta), [1.0, 1.0]) == report
+
+
+def test_wide_linear_fit_converges_to_lstsq():
+    # m = 800, n = 200: pure secant updates stall here and ran into the
+    # iteration cap; the stall rebuilds give a fit within 1e-2 of lstsq.
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (800, 199))
+    truth = rng.choice([-1.0, 1.0], 200)
+    y = truth[0] + x @ truth[1:] + 0.1 * rng.standard_normal(800)
+    report = optimize(DatasetEvaluator(LinearModel(), Dataset(x=x, y=y)), n_params=200)
+    assert report.status is RunStatus.Converged
+    ref = np.linalg.lstsq(np.column_stack([np.ones(800), x]), y, rcond=None)[0]
+    deviation = np.abs(report.final_beta.values - ref) / np.maximum(np.abs(ref), 1.0)
+    assert np.max(deviation) <= 1e-2
+
+
+def test_refresh_rebuilds_b_in_place():
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    beta = Parameters([1.0, 0.5])
+    jac = core._SecantJacobian(40, 2, None)
+    b = jac.b
+    assert jac.refresh(ev, beta, None) == "refreshed"
+    assert jac.b is b
+    assert np.array_equal(b, fd_jacobian(ev, beta.values))
 
 
 def test_rejected_iterations_raise_lambda():

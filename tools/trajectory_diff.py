@@ -29,7 +29,8 @@ the first few names, each with the top-level keys that differ
 totals of each status, of evaluator calls, of failed fits and of WARNING
 records, where a fit fails as in the benchmark: it did not converge, or its
 parameters lie more than ``workloads.TOLERANCE`` from the reference
-solution.  On ``corpus`` the calls and failed fits are also totalled per
+solution.  Before the totals, it counts the fits the change fixed and names
+those it newly failed.  On ``corpus`` the calls and failed fits are also totalled per
 variant (the ``/plain``, ``/weighted``, ``/bounded`` or ``/hybrid`` suffix
 of the problem's name).  One ``reason`` row per distinct
 ``failure_reason``, its ``iteration k: `` prefix stripped, counts the fits
@@ -232,6 +233,9 @@ def main(argv=None) -> int:
     if len(differ) > SHOWN:
         print(f"  ... and {len(differ) - SHOWN} more")
     failed = failed_fits(bench, args.workload, reports)
+    newly = sorted(failed["change"] - failed["parent"])
+    print(f"  fixed: {len(failed['parent'] - failed['change'])} fits; "
+          f"newly failed: {len(newly)} fits{': ' if newly else ''}{', '.join(newly)}")
     rows = collections.defaultdict(collections.Counter)
     for side in sides:
         for name, text in reports[side].items():
