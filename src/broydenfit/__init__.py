@@ -26,7 +26,6 @@ from .models import (
     AnalyticModel,
     Dataset,
     DatasetEvaluator,
-    DeterminismCheck,
     ExponentialDecayModel,
     LinearModel,
     LogisticModel,
@@ -42,7 +41,6 @@ __all__ = [
     "ConfigError",
     "Dataset",
     "DatasetEvaluator",
-    "DeterminismCheck",
     "EvaluatorFailure",
     "ExponentialDecayModel",
     "ExternalEvaluator",

@@ -230,9 +230,7 @@ class IterationRecord:
     """One row of the optimization trace.
 
     ``objective`` is stored as exactly ``0.5 * residual_norm**2`` so it can
-    be recomputed from the norm alone.  ``condition`` is the 1-norm
-    condition estimate of the solved system, populated only when the run
-    has diagnostics enabled.
+    be recomputed from the norm alone.
     """
 
     k: int
@@ -244,7 +242,6 @@ class IterationRecord:
     p_norm: float
     max_rel_change: float
     armijo_satisfied: bool
-    condition: float | None = None
 
     __eq__ = _fields_equal
 
@@ -442,11 +439,6 @@ def max_relative_change(p: np.ndarray, values: np.ndarray) -> float:
     """max_j |p_j| / |beta_j|, with a unit denominator where beta_j == 0."""
     denom = np.where(values != 0.0, np.abs(values), 1.0)
     return float(np.max(np.abs(p) / denom))
-
-
-def check_convergence(p: np.ndarray, beta: Parameters, config: SolverConfig) -> bool:
-    """True when the direction is negligible relative to the parameters."""
-    return max_relative_change(p, beta.values) < config.epsilon
 
 
 def update_lambda(lam: float, accepted: bool, config: SolverConfig) -> float:
@@ -655,7 +647,6 @@ def optimize(
     n_params: int | None = None,
     fd_config: "fdiff.FdConfig | None" = None,
     on_iteration: Callable[[IterationRecord], None] | None = None,
-    diagnostics: bool = False,
 ) -> RunReport:
     """Fit parameters to minimize the residual sum of squares.
 
@@ -681,11 +672,9 @@ def optimize(
     a decreasing step at the damping cap), the last two with a
     ``failure_reason`` prefixed ``bootstrap:`` or ``iteration k:``.  Only a
     :class:`ConfigError` is raised; numpy's overflow and invalid-value
-    warnings are off for the run.  With ``diagnostics=True`` each record
-    carries a condition estimate of the solved system.
+    warnings are off for the run.
     """
-    return _optimize(evaluate, beta0, config, weights, n_params, fd_config,
-                     on_iteration, diagnostics)[0]
+    return _optimize(evaluate, beta0, config, weights, n_params, fd_config, on_iteration)[0]
 
 
 def optimize_with_state(
@@ -697,13 +686,11 @@ def optimize_with_state(
     n_params: int | None = None,
     fd_config: "fdiff.FdConfig | None" = None,
     on_iteration: Callable[[IterationRecord], None] | None = None,
-    diagnostics: bool = False,
 ) -> tuple[RunReport, SolverState]:
     """Like :func:`optimize` but also returns the final secant matrix and
-    the last step pair it absorbed, for diagnostics (all ``None`` when the
+    the last step pair it absorbed, for inspection (all ``None`` when the
     bootstrap or a rebuild of B by finite differences failed)."""
-    report, jac = _optimize(evaluate, beta0, config, weights, n_params, fd_config,
-                            on_iteration, diagnostics)
+    report, jac = _optimize(evaluate, beta0, config, weights, n_params, fd_config, on_iteration)
     return report, SolverState() if jac is None else jac.state()
 
 
@@ -724,7 +711,6 @@ def _optimize(
     n_params: int | None,
     fd_config: "fdiff.FdConfig | None",
     on_iteration: Callable[[IterationRecord], None] | None,
-    diagnostics: bool,
 ) -> tuple[RunReport, _SecantJacobian | None]:
     """The optimization loop.  Returns the report and the run's secant
     Jacobian, or None when the bootstrap failed.  Every stop but the
@@ -767,8 +753,7 @@ def _optimize(
             while True:
                 a, rhs = constrain_step(beta, *jac.system(r, lam))
                 try:
-                    p, cond = (linalg.solve(a, rhs, condition=True) if diagnostics
-                               else (linalg.solve(a, rhs), None))
+                    p = linalg.solve(a, rhs)
                     break
                 except ValueError as exc:  # inf or NaN: no damping makes it finite
                     raise _Floor(f"non-finite normal equations ({exc})")
@@ -800,13 +785,12 @@ def _optimize(
                 p_norm=float(np.linalg.norm(p)),
                 max_rel_change=max_relative_change(p, beta.values),
                 armijo_satisfied=accepted,
-                condition=cond,
             )
             records.append(rec)
             if on_iteration:
                 on_iteration(rec)
 
-            if check_convergence(p, beta, config):
+            if rec.max_rel_change < config.epsilon:
                 status = RunStatus.Converged
                 break
             if not accepted and lam >= LAMBDA_CAP:

@@ -50,7 +50,6 @@ class EvaluatorFailure(BroydenFitError):
     ``length_changed``  residual count differed from the first evaluation
     ``non_finite``      a residual entry was NaN or infinite
     ``evaluation``      the model reported it cannot evaluate at this point
-    ``nondeterministic``  repeated evaluation at identical parameters differed
     ==================  =====================================================
     """
 

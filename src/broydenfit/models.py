@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals, check_type
+from .errors import ConfigError, check_fields, check_residuals, check_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,33 +185,5 @@ class DatasetEvaluator:
         self.model = model
         self.data = data
 
-    @property
-    def n(self) -> int:
-        return self.model.param_count(self.data.d)
-
     def __call__(self, beta: np.ndarray) -> np.ndarray:
         return residuals_from_dataset(self.model, self.data, beta)
-
-
-class DeterminismCheck:
-    """Wrapper that re-runs the first evaluation and compares bitwise.
-
-    Model evaluators are required to be deterministic; this catches, e.g.,
-    externally coupled simulations with unseeded randomness early.
-    """
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
-        self._checked = False
-
-    def __call__(self, beta: np.ndarray) -> np.ndarray:
-        r = np.asarray(self.evaluate(beta), dtype=float)
-        if not self._checked:
-            again = np.asarray(self.evaluate(np.array(beta, dtype=float)), dtype=float)
-            if not np.array_equal(r, again):
-                raise EvaluatorFailure(
-                    "evaluator returned different residuals for identical parameters",
-                    category="nondeterministic",
-                )
-            self._checked = True
-        return r

@@ -59,26 +59,3 @@ def test_symmetric_permutation_invariance():
     perm = rng.permutation(n)
     xp = solve(a[np.ix_(perm, perm)], b[perm])
     assert np.allclose(xp, x[perm], rtol=1e-12, atol=1e-12)
-
-
-def condition(a: np.ndarray) -> float:
-    return solve(a, np.ones(len(a)), condition=True)[1]
-
-
-def test_condition_identity():
-    assert condition(np.eye(2)) == pytest.approx(1.0)
-
-
-def test_condition_scaled_identity():
-    assert condition(np.diag([2.0, 2.0])) == pytest.approx(1.0)
-
-
-def test_condition_diagonal_spread():
-    # Exact condition of diag(1, 1e-8) is 1e8.
-    est = condition(np.diag([1.0, 1e-8]))
-    assert 0.5e8 <= est <= 2e8
-
-
-def test_condition_singular_raises():
-    with pytest.raises(SingularSystem):
-        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2), condition=True)

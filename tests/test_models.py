@@ -5,7 +5,6 @@ from broydenfit import (
     ConfigError,
     Dataset,
     DatasetEvaluator,
-    DeterminismCheck,
     EvaluatorFailure,
     ExponentialDecayModel,
     LinearModel,
@@ -120,19 +119,3 @@ def test_evaluator_is_reusable_and_pure():
     first = ev(beta)
     second = ev(beta)
     assert np.array_equal(first, second)
-    assert ev.n == 2
-
-
-def test_determinism_check_passes_for_pure_evaluator():
-    data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([1.0, 3.0]))
-    wrapped = DeterminismCheck(DatasetEvaluator(LinearModel(), data))
-    assert np.array_equal(wrapped(np.zeros(2)), [1.0, 3.0])
-    assert np.array_equal(wrapped(np.ones(2)), [0.0, 1.0])
-
-
-def test_determinism_check_flags_randomness():
-    rng = np.random.default_rng(0)
-    wrapped = DeterminismCheck(lambda beta: rng.standard_normal(3))
-    with pytest.raises(EvaluatorFailure) as err:
-        wrapped(np.zeros(2))
-    assert err.value.category == "nondeterministic"

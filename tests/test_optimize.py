@@ -620,17 +620,6 @@ def test_final_objective_is_the_last_records_objective():
     assert report.final_objective == report.iterations[-1].objective
 
 
-def test_diagnostics_attach_condition_estimates():
-    ev = DatasetEvaluator(LinearModel(), linear_dataset())
-    plain = optimize(ev, n_params=2)
-    assert all(rec.condition is None for rec in plain.iterations)
-    diag = optimize(ev, n_params=2, diagnostics=True)
-    assert all(
-        rec.condition is not None and np.isfinite(rec.condition) and rec.condition >= 1.0
-        for rec in diag.iterations
-    )
-
-
 def test_on_iteration_callback_sees_every_record():
     ev = DatasetEvaluator(LinearModel(), linear_dataset())
     seen = []

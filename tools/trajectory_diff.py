@@ -6,17 +6,19 @@ each checkout and compares the results of each problem.
 
 In-process workloads (``corpus``, ``tall``, ``wide``) fit each problem
 through ``broydenfit.optimize`` and compare the two ``RunReport``s, every
-field and every iteration record, bit for bit.  Each problem is also run
-through ``broydenfit.optimize_with_state(..., diagnostics=True)``; its final
-secant state (a SHA-256 of ``broyden``, ``last_step`` and
-``last_residual_change``) and the condition estimate of every record are
-compared too.
+field and every iteration record, bit for bit.  Records are compared by
+field name, and ``condition`` is skipped: older checkouts have this
+``IterationRecord`` field, and a plain run leaves it None.  Each problem
+is also run through ``broydenfit.optimize_with_state``; its final secant
+state (a SHA-256 of ``broyden``, ``last_step`` and
+``last_residual_change``) is compared too.
 
 The ``external`` workload fits each problem end to end through
 ``broydenfit.cli.main``, with a ``serve-model`` child running the same
 checkout's package, in a temporary directory: once with ``-v`` writing the
 JSON report, once writing the csv-trace.  It compares the report files as
-JSON data (``json.load``, so key order does not matter), and the csv-trace,
+JSON data (``json.load``, so key order does not matter; the ``condition``
+key of each record, always null, is dropped), and the csv-trace,
 the ``-v`` lines, the summary line and the exit status byte for byte.
 
 Each problem's result also counts the WARNING records the package logged
@@ -81,19 +83,18 @@ def _report_data(report) -> dict:
         "objective": report.final_objective,
         "evaluations": report.evaluation_count,
         "reason": report.failure_reason,
-        "iterations": [[plain(getattr(rec, f.name)) for f in dataclasses.fields(rec)]
+        "iterations": [{f.name: plain(getattr(rec, f.name))
+                        for f in dataclasses.fields(rec) if f.name != "condition"}
                        for rec in report.iterations],
     }
 
 
-def _state_data(report, state) -> dict:
-    """The secant state of a diagnostics run as a digest, with its records'
-    condition estimates."""
+def _state_data(state) -> dict:
+    """The final secant state of a run as a digest."""
     digest = hashlib.sha256()
     for x in (state.broyden, state.last_step, state.last_residual_change):
         digest.update(b"None" if x is None else repr(x.shape).encode() + x.tobytes())
-    return {"state_sha256": digest.hexdigest(),
-            "conditions": [rec.condition for rec in report.iterations]}
+    return {"state_sha256": digest.hexdigest()}
 
 
 def _cli_data(cli, argv: list[str]) -> dict:
@@ -114,6 +115,8 @@ def _external_data(cli, p, workloads) -> dict:
                        + ["--out", trace_path, "--format", "csv"])
     with open(report_path) as fh:
         report = json.load(fh)
+    for rec in report["iterations"]:
+        rec.pop("condition", None)
     with open(trace_path, newline="") as fh:
         trace = fh.read()
     return {"status": report["status"], "beta": report["final_beta"]["values"],
@@ -157,8 +160,7 @@ def child(checkout: str, bench: str, workload: str) -> None:
         logged.count = 0
         data = _report_data(broydenfit.optimize(evaluator, **call))
         data["warnings"] = logged.count
-        data.update(_state_data(*broydenfit.optimize_with_state(
-            evaluator, **call, diagnostics=True)))
+        data.update(_state_data(broydenfit.optimize_with_state(evaluator, **call)[1]))
         print(json.dumps([p.name, data]), flush=True)
 
 
