@@ -39,6 +39,7 @@ import dataclasses
 import enum
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,9 +125,9 @@ class Parameters:
         n = values.size
         lo = _as_bound(lower, n, -np.inf)
         hi = _as_bound(upper, n, np.inf)
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ConfigError("bounds must not be NaN", key="bounds")
-        if np.any(lo >= hi):
+        if (lo >= hi).any():
             raise ConfigError("each lower bound must be strictly below its upper bound",
                               key="bounds")
         for name, arr in (("lower", lo), ("upper", hi)):
@@ -141,9 +142,9 @@ class Parameters:
         if values.shape != self.lower.shape:
             raise ConfigError(f"expected {self.lower.size} parameter values, "
                               f"got {values.size}", key="beta0")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ConfigError("parameter values must be finite", key="beta0")
-        if np.any(values < self.lower) or np.any(values > self.upper):
+        if (values < self.lower).any() or (values > self.upper).any():
             raise ConfigError("parameter values violate their bounds", key="beta0")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -161,7 +162,7 @@ class Parameters:
         return new
 
     def clip(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, self.lower, self.upper)
+        return np.minimum(np.maximum(values, self.lower), self.upper)  # np.clip, bit for bit
 
     __eq__ = _fields_equal
 
@@ -279,7 +280,7 @@ class SolverState:
 def weighted_norm(r: np.ndarray) -> float:
     """The 2-norm of whitened residuals ``sqrt(w) * r``, which is the
     weighted norm ``sqrt(sum w_i r_i^2)`` of the raw residuals."""
-    return float(np.sqrt(float(r @ r)))
+    return math.sqrt(r @ r)
 
 
 def _perturbed_coordinate(v: float, lo: float, hi: float, rel: float, ab: float) -> float:
@@ -363,9 +364,9 @@ def broyden_update(
             gi = bi.T @ ri
             g = gi if g is None else np.add(g, gi, out=g)
     if gram is not None:
-        vs = np.outer(v, s)
+        vs = v[:, None] * s  # np.outer(v, s)
         gram += vs + vs.T
-        gram += uu * np.outer(s, s)
+        gram += uu * (s[:, None] * s)
     return out if residuals is None else (out, -g)
 
 
@@ -392,7 +393,7 @@ def assemble_lm_system(
     if rhs is None:
         rhs = -(b.T @ r)
     a = gram.copy()
-    a.flat[::a.shape[0] + 1] += lam * np.diagonal(gram)
+    a.flat[::a.shape[0] + 1] += lam * gram.diagonal()
     return a, rhs
 
 
@@ -438,7 +439,7 @@ def armijo_holds(
 def max_relative_change(p: np.ndarray, values: np.ndarray) -> float:
     """max_j |p_j| / |beta_j|, with a unit denominator where beta_j == 0."""
     denom = np.where(values != 0.0, np.abs(values), 1.0)
-    return float(np.max(np.abs(p) / denom))
+    return float((np.abs(p) / denom).max())
 
 
 def update_lambda(lam: float, accepted: bool, config: SolverConfig) -> float:
@@ -763,7 +764,7 @@ def _optimize(
                     logger.debug("iteration %d: singular system, raising damping", k)
                     lam = update_lambda(lam, accepted=False, config=config)
 
-            if np.any(p):  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
+            if p.any():  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
                 alpha, trial, r_new, accepted = backtrack(beta, p, config, ev, r,
                                                           -float(rhs @ p))
                 # A refused move's best trial still carries secant information;
@@ -782,7 +783,7 @@ def _optimize(
                 objective=0.5 * rn * rn,
                 lam=lam,
                 alpha=alpha,
-                p_norm=float(np.linalg.norm(p)),
+                p_norm=math.sqrt(p @ p),  # np.linalg.norm(p)
                 max_rel_change=max_relative_change(p, beta.values),
                 armijo_satisfied=accepted,
             )

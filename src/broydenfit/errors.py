@@ -74,7 +74,7 @@ def check_residuals(r: np.ndarray, m: int | None) -> int:
         raise EvaluatorFailure(
             f"residual length changed from {m} to {r.size}", category="length_changed"
         )
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         bad = int(np.flatnonzero(~np.isfinite(r))[0])
         raise EvaluatorFailure(f"non-finite residual at index {bad}", category="non_finite")
     return r.size

@@ -37,8 +37,9 @@ class FdConfig:
                 raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}",
                                   key=key)
 
-    def step(self, beta_j: float) -> float:
-        return self.h_rel * max(abs(beta_j), self.h_abs / self.h_rel)
+    def step(self, beta):
+        """The step of each coordinate of ``beta`` (a float or an array)."""
+        return self.h_rel * np.maximum(np.abs(beta), self.h_abs / self.h_rel)
 
 
 def fd_jacobian(
@@ -67,30 +68,27 @@ def fd_jacobian(
     n = beta.size
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    base = None
+    # Every step and probe coordinate at once, so the loop only evaluates.  The bounds
+    # come first: on a tie (0.0 against -0.0) numpy's maximum and minimum return
+    # their second argument, here the probe's own.
+    h, base = config.step(beta), None
     if config.scheme == "forward":
         base = np.asarray(evaluate(beta.copy()), dtype=float)
+        h = np.where((beta + h > hi) & (hi - beta < beta - lo), -h, h)
+    up = np.minimum(hi, np.maximum(lo, beta + h))
+    down = beta if base is not None else np.maximum(lo, beta - h)
     for j in range(n):
-        h = config.step(beta[j])
-        up = beta.copy()
-        if (config.scheme == "forward" and beta[j] + h > hi[j]
-                and hi[j] - beta[j] < beta[j] - lo[j]):
-            h = -h
-        up[j] = min(max(beta[j] + h, lo[j]), hi[j])
+        plus, minus = beta.copy(), beta.copy()  # each probe point a fresh array
+        plus[j], minus[j] = up[j], down[j]
         try:
-            r_up = np.asarray(evaluate(up), dtype=float)
-            if config.scheme == "central":
-                down = beta.copy()
-                down[j] = max(beta[j] - h, lo[j])
-                r_down = np.asarray(evaluate(down), dtype=float)
-                column = (r_up - r_down) / (up[j] - down[j])
-            else:
-                column = (r_up - base) / (up[j] - beta[j])
+            r_up = np.asarray(evaluate(plus), dtype=float)
+            r_down = (base if base is not None else
+                      np.asarray(evaluate(minus), dtype=float))
         except EvaluatorFailure as exc:
             raise EvaluatorFailure(
                 f"probe for column {j} failed: {exc}", category=exc.category
             ) from exc
         if out is None:
-            out = np.empty((column.size, n))
-        out[:, j] = column
+            out = np.empty((r_up.size, n))
+        np.divide(r_up - r_down, up[j] - down[j], out=out[:, j])
     return out

@@ -27,7 +27,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         SingularSystem: if a pivot falls below ``PIVOT_RTOL`` times the
             largest pivot magnitude (numerically rank deficient).
     """
-    a = np.asarray_chkfinite(a, dtype=float)
+    if not np.isfinite(a := np.asarray(a, dtype=float)).all():
+        raise ValueError("array must not contain infs or NaNs")
     # An exact zero pivot (info > 0) fails the threshold check below.
     lu, piv, _ = lapack.dgetrf(a)
     pivots = np.abs(lu.diagonal()).tolist()
@@ -37,7 +38,9 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"pivot ratio {0.0 if largest == 0.0 else min(pivots) / largest:.3e} "
             f"below {PIVOT_RTOL:.0e}"
         )
-    x, _ = lapack.dgetrs(lu, piv, np.asarray_chkfinite(b, dtype=float))
+    if not np.isfinite(b := np.asarray(b, dtype=float)).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, _ = lapack.dgetrs(lu, piv, b)
     if not np.isfinite(x).all():
         raise SingularSystem("solution overflowed; system effectively singular")
     return x

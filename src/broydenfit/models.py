@@ -108,7 +108,12 @@ class PolynomialModel(AnalyticModel):
         return self.degree + 1
 
     def predict(self, x, beta):
-        return np.polynomial.polynomial.polyval(self._require_univariate(x), beta)
+        x = self._require_univariate(x)
+        f = x * 0.0 + beta[-1]  # numpy polyval's Horner recurrence, in place
+        for c in beta[-2::-1]:
+            f *= x
+            f += c
+        return f
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -51,6 +52,16 @@ def test_objective_weighted():
 def test_objective_dimension_mismatch():
     with pytest.raises(ConfigError):
         _objective(np.ones(3), np.ones(2))
+
+
+def test_weighted_norm_is_the_square_root_of_the_dot_product():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(3), np.array([3.0, 4.0]), np.array([-0.0]), np.array([1e-200]),
+             np.array([1e200, 1e200]), *(rng.standard_normal(m) for m in (1, 7, 50))]
+    with np.errstate(over="ignore"):
+        for r in cases:
+            norm = weighted_norm(r)
+            assert type(norm) is float and norm == float(np.sqrt(float(r @ r)))
 
 
 def test_objective_nonnegative_randomized():
@@ -724,6 +735,21 @@ def test_with_values_checks_the_new_values(values):
     beta = Parameters([0.5, 0.5], lower=[0.0, -1.0], upper=[1.0, None])
     with pytest.raises(ConfigError):
         beta.with_values(np.array(values))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([-1.0, 0.0, -2.0], [1.0, 2.0, -1.0]),  # finite
+    ([-np.inf, -np.inf, -np.inf], [np.inf, np.inf, np.inf]),
+    ([0.0, -0.0, -np.inf], [np.inf, 1.0, -0.0]),  # signed-zero bounds
+], ids=["finite", "unbounded", "zeros"])
+def test_clip_is_np_clip_bit_for_bit(lower, upper):
+    beta = Parameters(np.clip(np.full(3, 0.5), lower, upper), lower, upper)
+    # inside, outside and on each bound, both zeros and both infinities
+    candidates = [-np.inf, -3.0, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf]
+    for values in itertools.product(candidates, repeat=3):
+        values = np.array(values)
+        want = np.clip(values, beta.lower, beta.upper)
+        assert beta.clip(values).tobytes() == want.tobytes()
 
 
 def test_with_values_keeps_the_validated_bounds():

@@ -148,6 +148,50 @@ def test_unbounded_probes_keep_their_bits():
                               fd_jacobian(ev, beta, config))
 
 
+def _loop_fd_jacobian(evaluate, beta, config, lo, hi):
+    """The reference: fd_jacobian's probes and quotients, one coordinate at a
+    time in Python's scalar arithmetic."""
+    base = evaluate(beta.copy()) if config.scheme == "forward" else None
+    columns = []
+    for j in range(beta.size):
+        h = config.h_rel * max(abs(beta[j]), config.h_abs / config.h_rel)
+        if (config.scheme == "forward" and beta[j] + h > hi[j]
+                and hi[j] - beta[j] < beta[j] - lo[j]):
+            h = -h
+        up, down = beta.copy(), beta.copy()
+        up[j] = min(max(beta[j] + h, lo[j]), hi[j])
+        if config.scheme == "central":
+            down[j] = max(beta[j] - h, lo[j])
+            columns.append((evaluate(up) - evaluate(down)) / (up[j] - down[j]))
+        else:
+            columns.append((evaluate(up) - base) / (up[j] - beta[j]))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_probes_and_columns_equal_the_loop_reference_bit_for_bit(scheme):
+    # Coordinates inside the box, on and near each bound (a forward probe flips
+    # where the box has more room below, and is clipped where it has not), at
+    # zero, and one at h = 1e-8 whose flipped probe lands on a lower bound of -0.0.
+    rng = np.random.default_rng(2)
+    beta = np.array([0.3, -2.0, 0.0, 1.0 - 1e-7, 1.0 - 5e-7, 1e-8, 5.0, -1e3])
+    lo = np.array([-1.0, -2.0, -np.inf, 0.0, 1.0 - 8e-7, -0.0, -np.inf, -np.inf])
+    hi = np.array([1.0, 0.0, np.inf, 1.0, 1.0, 1.5e-8, 5.0, np.inf])
+    weights = rng.standard_normal((9, beta.size))
+
+    def spy(probes):
+        def ev(b):
+            probes.append(b.copy())
+            return np.sin(weights @ b) + np.copysign(1.0, b).sum()  # sees a zero's sign
+        return ev
+
+    config, got, want = FdConfig(scheme=scheme), [], []
+    jac = fd_jacobian(spy(got), beta, config, lo, hi)
+    ref = _loop_fd_jacobian(spy(want), beta, config, lo, hi)
+    assert jac.tobytes() == ref.tobytes()
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
 def test_fd_config_validation():
     with pytest.raises(ConfigError):
         FdConfig(scheme="complex")

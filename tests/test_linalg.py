@@ -25,6 +25,18 @@ def test_zero_matrix_raises():
         solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_non_finite_input_raises_value_error(where, bad):
+    a, b = np.eye(2), np.ones(2)  # nonsingular, so the check on b is reached too
+    if where == "a":
+        a[1, 0] = bad
+    else:
+        b[1] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        solve(a, b)
+
+
 def test_relative_residual_bound():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 20):

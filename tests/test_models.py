@@ -82,6 +82,18 @@ def test_linear_predict_bitwise_equal_to_textbook_form(d):
     assert got.tobytes() == (beta[0] + x @ beta[1:]).tobytes()
 
 
+@pytest.mark.parametrize("degree", range(6))
+def test_polynomial_predict_bitwise_equal_to_polyval(degree):
+    rng = np.random.default_rng(degree)
+    x = np.concatenate([[0.0, -0.0, -1.0, -2.5], rng.standard_normal(40)])[:, None]
+    zeros = np.zeros(degree + 1)
+    for beta in (rng.standard_normal(degree + 1), zeros, -zeros):  # -0.0 too
+        got = PolynomialModel(degree=degree).predict(x, beta)
+        want = np.polynomial.polynomial.polyval(x[:, 0], beta)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
 def test_parameter_count_mismatch():
     data = Dataset(x=np.array([[0.0]]), y=np.array([1.0]))
     with pytest.raises(ConfigError):
