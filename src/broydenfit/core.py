@@ -17,7 +17,9 @@ upkeep of its Gram matrix and the right-hand side of the next solve.
 
 The driver keeps that state in one object, ``_SecantJacobian``: B, its Gram
 matrix, the right-hand side and the step pair waiting to be absorbed.  Each
-iteration it absorbs the pair or refreshes B, then assembles the solve.
+iteration it absorbs the pair or refreshes B, then assembles the solve.  The
+Gram matrix is computed from B only where B is built (the first solve, each
+rebuild); in between, the secant updates carry it.
 
 A secant matrix can stop giving descent directions.  After
 ``STALL_REFRESH_REJECTIONS`` (2) rejected line searches in a row, the next
@@ -65,10 +67,6 @@ LAMBDA_CAP = 1e12
 
 # Squared step norms below this are treated as stagnation in the secant update.
 STAGNANT_SNORM2 = 1e-30
-
-# The driver updates B^T B along with B, and recomputes it exactly after
-# this many secant updates to bound its round-off drift.
-GRAM_RECOMPUTE_PERIOD = 10
 
 # After this many rejected line searches in a row, the driver rebuilds B by
 # finite differences before the next solve (MINPACK hybrd's stall rule).
@@ -322,7 +320,8 @@ def broyden_update(
 
     A ``gram`` holding ``B^T B`` is updated in place to the new matrix's
     product, ``gram + (v s^T + s v^T) + (u^T u) s s^T`` with ``v = B^T u``;
-    summing the symmetric pair first keeps ``gram`` exactly symmetric.
+    summing the symmetric pair first keeps ``gram`` exactly symmetric.  Its
+    round-off, a few ``eps * ||B||_2^2`` per update, adds up across updates.
     Given ``residuals`` r, it returns ``(out, rhs)``, ``rhs = -(B'^T r)`` of
     the updated B' for :func:`assemble_lm_system`.  It is all one pass in
     row blocks (``SECANT_BLOCK_ELEMENTS``): a block gives its rows of ``u``
@@ -351,8 +350,8 @@ def broyden_update(
     rows = max(64, SECANT_BLOCK_ELEMENTS // n // 64 * 64)
     v, g, uu = None, None, 0.0
     for i in range(0, m, rows):
-        bi, ti, ri = ((out, t, residuals) if rows >= m else
-                      (x if x is None else x[i:i + rows] for x in (out, t, residuals)))
+        bi, ti = out[i:i + rows], t[i:i + rows]
+        ri = None if residuals is None else residuals[i:i + rows]
         ui = (ti - bi @ s) / snorm2
         if gram is not None:
             vi = bi.T @ ui
@@ -541,8 +540,9 @@ class _CountingEvaluator:
 class _SecantJacobian:
     """The secant approximation B of the m x n Jacobian of the whitened
     residuals ``sw * r``: B (from ``eye(m, n)`` on the raw residuals, so
-    ``sw``-scaled rows), its Gram matrix ``B^T B`` with the updates made
-    since it was exact, the right-hand side ``-B^T r`` left by the last
+    ``sw``-scaled rows), its Gram matrix ``B^T B`` (exact at the first
+    :meth:`system` and the one after each :meth:`refresh`, carried by each
+    update in between), the right-hand side ``-B^T r`` left by the last
     update's pass, the ``pending`` step pair ``(s, t)`` and the last pair
     absorbed."""
 
@@ -550,8 +550,7 @@ class _SecantJacobian:
         # private to this run, so updated in place
         self.b = np.eye(m, n) if sw is None else np.eye(m, n) * sw[:, None]
         self.sw = sw
-        self.gram: np.ndarray | None = None  # None: recompute it exactly
-        self.since_exact = 0
+        self.gram: np.ndarray | None = None  # None: system() computes it afresh
         self.rhs: np.ndarray | None = None
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
@@ -561,16 +560,13 @@ class _SecantJacobian:
         the right-hand side at residuals ``r``; a stagnant step is skipped,
         with a warning naming iteration ``k``."""
         (s, t), self.pending, self.rhs = self.pending, None, None
-        # Recompute due: an update leaves the Gram matrix to system(); a skip keeps it.
-        gram = None if self.since_exact == GRAM_RECOMPUTE_PERIOD - 1 else self.gram
         try:
-            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=gram, residuals=r)
+            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=self.gram,
+                                         residuals=r)
         except StagnantStep as exc:
             logger.warning("iteration %d: secant update skipped (%s)", k, exc)
             return "skipped"
-        self.gram = gram
         self.last = (s, t)
-        self.since_exact += 1
         return "updated"
 
     def refresh(self, ev: ResidualEvaluator, beta: Parameters,
@@ -586,9 +582,9 @@ class _SecantJacobian:
 
     def system(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The damped normal equations at ``r`` (:func:`assemble_lm_system`),
-        recomputing the Gram matrix first when it is due."""
+        computing the Gram matrix from B first when B was just built."""
         if self.gram is None:
-            self.gram, self.since_exact = gram_matrix(self.b), 0
+            self.gram = gram_matrix(self.b)
         a, self.rhs = assemble_lm_system(self.b, r, lam, self.gram, self.rhs)
         return a, self.rhs
 

@@ -8,7 +8,6 @@ import pytest
 from broydenfit import ConfigError, EvaluatorFailure, Parameters, SolverConfig
 from broydenfit import core
 from broydenfit.core import (
-    GRAM_RECOMPUTE_PERIOD,
     armijo_holds,
     assemble_lm_system,
     backtrack,
@@ -225,18 +224,18 @@ def test_secant_pass_returns_the_next_right_hand_side(request, blocks, weights):
 
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_incremental_gram_drift_is_bounded(weights):
-    # After GRAM_RECOMPUTE_PERIOD - 1 updates (the most the driver folds in
-    # before recomputing), the maintained B^T B stays within
-    # 8 * (k - 1) * eps * ||B||_2^2 of a fresh product, elementwise, with the
-    # norm taken at its largest over the updates.  Weights enter as whitened
-    # rows of B and of each t.
+    # After max_iterations - 1 updates (the most a run folds into one Gram
+    # matrix: the driver computes it afresh only where B is built), the
+    # maintained B^T B stays within 8 * updates * eps * ||B||_2^2 of a fresh
+    # product, elementwise, with the norm taken at its largest over the
+    # updates.  Weights enter as whitened rows of B and of each t.
     m, n = 2000, 20
     rng = np.random.default_rng(17)
     sw = np.ones(m) if weights is None else np.sqrt(rng.uniform(0.5, 2.0, size=m))
     b = sw[:, None] * rng.standard_normal((m, n))
     gram = gram_matrix(b)
     scale = np.linalg.norm(gram, 2)
-    updates = GRAM_RECOMPUTE_PERIOD - 1
+    updates = SolverConfig().max_iterations - 1
     for _ in range(updates):
         s = rng.standard_normal(n)
         broyden_update(b, s, sw * rng.standard_normal(m), out=b, gram=gram)
@@ -316,47 +315,39 @@ def test_secant_jacobian_skip_leaves_b_and_gram_untouched(weights, caplog):
 
 
 @pytest.mark.parametrize("weights", [None, "random"])
-def test_secant_jacobian_skip_at_recompute_point_keeps_gram(weights):
-    # A skip where the next update would recompute the Gram matrix keeps
-    # it: B did not change.  The next successful update drops it.
-    jac, rng = _secant_jacobian(6, 2, weights)
-    r = rng.standard_normal(6)
-    k = 0
-    while jac.since_exact < GRAM_RECOMPUTE_PERIOD - 1:
-        k += 1
-        jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
-        assert jac.absorb(r, k) == "updated"
-        jac.system(r, 0.1)
-    gram, before = jac.gram, jac.gram.copy()
-    jac.pending = (np.full(2, 1e-16), rng.standard_normal(6))
-    assert jac.absorb(r, k + 1) == "skipped"
-    assert jac.gram is gram and np.array_equal(gram, before)
-    assert jac.since_exact == GRAM_RECOMPUTE_PERIOD - 1
-    jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
-    assert jac.absorb(r, k + 2) == "updated" and jac.gram is None
-    got = jac.system(r, 0.1)
-    want = assemble_lm_system(jac.b, r, 0.1)
-    assert jac.since_exact == 0
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-
-
-@pytest.mark.parametrize("weights", [None, "random"])
 def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
-    # The Gram matrix is computed afresh after the first update and after
-    # every GRAM_RECOMPUTE_PERIOD-th update since; there system() assembles
-    # what assemble_lm_system assembles from B alone, bit for bit.
-    jac, rng = _secant_jacobian(30, 4, weights)
-    exact_points = []
-    for k in range(1, 2 * GRAM_RECOMPUTE_PERIOD + 2):
-        r = rng.standard_normal(30)
-        jac.pending = (rng.standard_normal(4), rng.standard_normal(30))
-        assert jac.absorb(r, k) == "updated"
-        got = jac.system(r, 0.5)
-        if jac.since_exact == 0:
+    # The Gram matrix is computed afresh only where B is built: at the first
+    # system() and at the first one after a refresh.  There system()
+    # assembles what assemble_lm_system assembles from B alone, bit for bit.
+    # The updates in between carry it within the drift bound of
+    # test_incremental_gram_drift_is_bounded; the right-hand side of their
+    # pass is -B^T r, bit for bit.
+    m, n, lam = 30, 4, 0.5
+    jac, rng = _secant_jacobian(m, n, weights)
+    a = rng.standard_normal((m, n))
+    eps = np.finfo(float).eps
+    exact_points, since, scale = [], 0, 0.0
+    for k in range(1, 22):
+        r = rng.standard_normal(m)
+        if k == 11:
+            jac.refresh(lambda x: a @ x, Parameters(rng.standard_normal(n)), None)
+        else:
+            jac.pending = (rng.standard_normal(n), rng.standard_normal(m))
+            assert jac.absorb(r, k) == "updated"
+        fresh = jac.gram is None
+        got = jac.system(r, lam)
+        want = assemble_lm_system(jac.b, r, lam)
+        assert got[1].tobytes() == want[1].tobytes()
+        if fresh:
             exact_points.append(k)
-            want = assemble_lm_system(jac.b, r, 0.5)
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    assert exact_points == [1, GRAM_RECOMPUTE_PERIOD + 1, 2 * GRAM_RECOMPUTE_PERIOD + 1]
+            assert got[0].tobytes() == want[0].tobytes()
+            since, scale = 0, np.linalg.norm(jac.gram, 2)
+        else:
+            since += 1
+            scale = max(scale, np.linalg.norm(gram_matrix(jac.b), 2))
+            assert np.array_equal(jac.gram, jac.gram.T)
+            assert np.max(np.abs(jac.gram - gram_matrix(jac.b))) <= 8 * since * eps * scale
+    assert exact_points == [1, 11]
 
 
 # --- system assembly and direction solve ------------------------------------

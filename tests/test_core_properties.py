@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from broydenfit import (
     Dataset,
     DatasetEvaluator,
+    ExponentialDecayModel,
     LinearModel,
     Parameters,
+    PolynomialModel,
     RunStatus,
     SolverConfig,
     optimize,
@@ -21,7 +23,7 @@ from broydenfit.core import (
 )
 from broydenfit.linalg import solve
 
-from conftest import analytic_jacobian, corpus, linear_dataset
+from conftest import CountingEvaluator, analytic_jacobian, corpus, linear_dataset
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -202,3 +204,71 @@ def test_truncated_run_flag_matches_last_record():
     report = optimize(ev, n_params=2, config=cfg)
     last = report.iterations[-1]
     assert (report.status is RunStatus.Converged) == (last.max_rel_change < cfg.epsilon)
+
+
+@st.composite
+def small_fits(draw):
+    """A small linear, polynomial or exponential-decay fit from a zero
+    start: random design, truth and noise, optional weights, an optional
+    box around the start (which may sit on a bound) and an iteration cap."""
+    kind = draw(st.sampled_from(["linear", "polynomial", "exponential-decay"]))
+    m = draw(st.integers(3, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "linear":
+        x = rng.uniform(-1.0, 2.0, (m, draw(st.integers(1, 2))))
+        model = LinearModel()
+    elif kind == "polynomial":
+        x = rng.uniform(-1.0, 2.0, (m, 1))
+        model = PolynomialModel(degree=draw(st.integers(0, 2)))
+    else:
+        x = rng.uniform(0.0, 3.0, (m, 1))
+        model = ExponentialDecayModel()
+    n = model.param_count(x.shape[1])
+    truth = rng.uniform(0.2, 2.5, n)
+    y = model.predict(x, truth) + 0.05 * rng.standard_normal(m)
+    weights = rng.uniform(0.5, 2.0, m) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        beta0 = Parameters(np.zeros(n), lower=-rng.choice([0.0, 0.5, 3.0], n),
+                           upper=rng.choice([0.5, 1.0, 3.0], n))
+    else:
+        beta0 = Parameters(np.zeros(n))
+    cap = draw(st.sampled_from([SolverConfig().max_iterations, 5, 2]))
+    return DatasetEvaluator(model, Dataset(x=x, y=y)), beta0, weights, cap
+
+
+@given(small_fits())
+@settings(max_examples=60, deadline=None)
+def test_run_invariants(fit):
+    evaluator, beta0, weights, cap = fit
+    cfg = SolverConfig(max_iterations=cap)
+    ev = CountingEvaluator(evaluator)
+    report = optimize(ev, beta0, cfg, weights=weights)
+    records = report.iterations
+    assert report.evaluation_count == ev.count
+
+    # The norm never grows: an accepted step does not raise it, a rejected
+    # one keeps it.  The run starts from the bootstrap's perturbed point.
+    sw = 1.0 if weights is None else np.sqrt(weights)
+    prev = weighted_norm(sw * evaluator(perturb_initial(beta0, cfg).values))
+    for rec in records:
+        assert np.all(rec.beta >= beta0.lower) and np.all(rec.beta <= beta0.upper)
+        if rec.armijo_satisfied:
+            assert rec.residual_norm <= prev
+        else:
+            assert rec.residual_norm == prev
+        prev = rec.residual_norm
+
+    if not records:
+        assert report.status is not RunStatus.Converged
+        return
+    last = records[-1]
+    assert report.final_objective == last.objective
+    assert (report.status is RunStatus.Converged) == (last.max_rel_change < cfg.epsilon)
+    # MaxIterations exactly when the cap's records are there, unless the
+    # last of them also ended the run another way: converged, or no
+    # decrease at the damping cap.
+    if report.status is RunStatus.MaxIterations:
+        assert len(records) == cap
+    elif len(records) == cap:
+        assert (report.status is RunStatus.Converged
+                or report.failure_reason.endswith("no sufficient-decrease step at damping cap"))

@@ -437,8 +437,8 @@ def test_state_secant_pair_is_absorbed():
 
 def _multi_block_linear_problem():
     # m = 20000 rows and n = 8 parameters, two row blocks of the secant pass
-    # (16384 and 3616 rows); the fit takes 15 iterations, so the driver both
-    # updates its Gram matrix and recomputes it.
+    # (16384 and 3616 rows); the fit takes 15 iterations, so the driver
+    # carries its Gram matrix through 14 updates after computing it once.
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.0, 1.0, (20000, 7))
     beta = rng.choice([-1.0, 1.0], 8)
@@ -511,18 +511,30 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
     assert slopes and all(slope < 0 for slope in slopes)
 
 
+def _refreshed_polynomial_fit(weights):
+    # 30 iterations with FD refreshes at k = 15 (the period's) and after stalls.
+    x = np.linspace(-1.0, 2.0, 12)
+    data = Dataset(x=x, y=np.exp(0.7 * x) + 0.1 * x**3)
+    ev = DatasetEvaluator(PolynomialModel(degree=4), data)
+    config = SolverConfig(fd_refresh_period=15, epsilon=1e-12, max_iterations=30)
+    return optimize(ev, n_params=5, config=config, weights=weights)
+
+
 @pytest.mark.parametrize("weights", [None, np.linspace(0.5, 2.0, 12)])
 def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
-    # The driver recomputes B^T B at the start, after each FD refresh and
-    # after every GRAM_RECOMPUTE_PERIOD-th secant update since then; there
-    # the system it assembles equals the one assembled from B alone, bit for
-    # bit.  "since" counts the updates made after the last such point; the
-    # first one is computed after the bootstrap pair's update.
-    since, checked = [-1], []
+    # The driver computes B^T B afresh only where B is built: at the first
+    # solve and after each FD refresh (here at k = 15 and after stalls).
+    # There the system it assembles equals the one assembled from B alone,
+    # bit for bit.  Every other assembly carries it through the updates
+    # since, within the drift bound of test_incremental_gram_drift_is_bounded.
+    # "since" counts those updates; the first Gram matrix is computed after
+    # the bootstrap pair's.
+    since, scale, checked, refreshes = [-1], [0.0], [], [0]
     assemble, update, fd = core.assemble_lm_system, core.broyden_update, fdiff.fd_jacobian
+    eps = np.finfo(float).eps
 
     def spy_fd(*args, **kwargs):
-        since[0] = 0
+        since[0], refreshes[0] = 0, refreshes[0] + 1
         return fd(*args, **kwargs)
 
     def spy_update(*args, **kwargs):
@@ -532,23 +544,48 @@ def test_maintained_gram_is_exact_after_recompute_points(monkeypatch, weights):
 
     def spy_assemble(b, r, lam, gram=None, rhs=None):
         out = assemble(b, r, lam, gram, rhs)
-        if since[0] % core.GRAM_RECOMPUTE_PERIOD == 0:
-            exact = assemble(b, r, lam)
-            checked.append((since[0], all(np.array_equal(x, y)
-                                          for x, y in zip(out, exact))))
+        exact = assemble(b, r, lam)
+        if since[0] == 0:
+            checked.append((refreshes[0], all(np.array_equal(x, y)
+                                              for x, y in zip(out, exact))))
+            scale[0] = np.linalg.norm(exact[0], 2)
+        else:
+            scale[0] = max(scale[0], np.linalg.norm(exact[0], 2))
+            drift = np.max(np.abs(out[0] - exact[0]))
+            assert drift <= 8 * since[0] * eps * scale[0] * (1.0 + lam)
         return out
 
     monkeypatch.setattr(fdiff, "fd_jacobian", spy_fd)
     monkeypatch.setattr(core, "broyden_update", spy_update)
     monkeypatch.setattr(core, "assemble_lm_system", spy_assemble)
-    x = np.linspace(-1.0, 2.0, 12)
-    data = Dataset(x=x, y=np.exp(0.7 * x) + 0.1 * x**3)
-    ev = DatasetEvaluator(PolynomialModel(degree=4), data)
-    config = SolverConfig(fd_refresh_period=15, epsilon=1e-12, max_iterations=30)
-    report = optimize(ev, n_params=5, config=config, weights=weights)
+    report = _refreshed_polynomial_fit(weights)
     assert len(report.iterations) == 30
-    assert {n for n, _ in checked} == {0, core.GRAM_RECOMPUTE_PERIOD}
-    assert all(exact for _, exact in checked)
+    assert refreshes[0] >= 2  # the period's at k = 15, and a stall's
+    assert checked == [(i, True) for i in range(refreshes[0] + 1)]
+
+
+def test_gram_matrix_runs_only_where_b_is_built(monkeypatch):
+    # B^T B is computed from B at the run's first solve and at the first
+    # solve after each FD rebuild, and nowhere else: the secant updates in
+    # between carry it.
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(core, "gram_matrix", spy("gram", core.gram_matrix))
+    monkeypatch.setattr(fdiff, "fd_jacobian", spy("fd", fdiff.fd_jacobian))
+    monkeypatch.setattr(core, "assemble_lm_system", spy("solve", core.assemble_lm_system))
+    report = _refreshed_polynomial_fit(None)
+    assert events.count("solve") == len(report.iterations) == 30
+    assert events.count("fd") >= 2
+    assert events.count("gram") == 1 + events.count("fd")
+    assert events[:2] == ["gram", "solve"]
+    assert all(events[i - 1] == "fd" and events[i + 1] == "solve"
+               for i, e in enumerate(events) if e == "gram" and i)
 
 
 def test_fd_refresh_converges_and_leaves_fd_matrix():

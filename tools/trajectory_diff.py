@@ -27,7 +27,10 @@ during its fit (the first fit, for in-process workloads).
 Prints how many problems differ, and how many of those differ in
 ``evaluations`` or ``status`` (a changed trajectory rather than round-off);
 the first few names, each with the top-level keys that differ
-(``state_sha256``, ``objective``, ``evaluations``, ...); then per side the
+(``state_sha256``, ``objective``, ``evaluations``, ...); the largest
+final-parameter change among the problems that differ
+(``workloads.deviation`` of the change's final beta from the parent's), with
+the problem's name, which sizes a round-off-only change; then per side the
 totals of each status, of evaluator calls, of failed fits and of WARNING
 records, where a fit fails as in the benchmark: it did not converge, or its
 parameters lie more than ``workloads.TOLERANCE`` from the reference
@@ -201,6 +204,21 @@ def failed_fits(bench: str, workload: str, sides: dict[str, dict[str, str]]) -> 
     return failed
 
 
+def largest_change(bench: str, sides: dict[str, dict[str, str]], names) -> tuple[float, str]:
+    """The largest ``workloads.deviation`` of the change's final beta from
+    the parent's among ``names``, and the name of its problem."""
+    import numpy as np
+
+    sys.path.insert(0, bench)
+    import workloads
+
+    def beta(side, name):
+        return np.array(json.loads(sides[side][name])["beta"])
+
+    return max((workloads.deviation(beta("change", name), beta("parent", name)), name)
+               for name in names)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", nargs="?", help="checkout to compare against")
@@ -234,6 +252,9 @@ def main(argv=None) -> int:
         print(f"  differs: {name}: {', '.join(keys)}")
     if len(differ) > SHOWN:
         print(f"  ... and {len(differ) - SHOWN} more")
+    if differ:
+        dev, name = largest_change(bench, reports, differ)
+        print(f"  largest final-beta change: {dev:.2g} ({name})")
     failed = failed_fits(bench, args.workload, reports)
     newly = sorted(failed["change"] - failed["parent"])
     print(f"  fixed: {len(failed['parent'] - failed['change'])} fits; "
