@@ -3,10 +3,12 @@
 The optimizer minimizes half the (optionally weighted) sum of squared
 residuals using damped Gauss-Newton steps.  The residual Jacobian is never
 computed by the model: it is approximated by a rectangular secant matrix
-that starts as a unit diagonal pattern and absorbs one rank-one update per
-accepted step.  Steps are globalized by a safeguarded quadratic backtracking
-line search that enforces a sufficient-decrease condition on the objective,
-and the damping factor is adapted multiplicatively on acceptance or rejection.
+that starts as a unit diagonal pattern and absorbs rank-one updates: each
+iteration with a nonzero direction queues the best trial of its line search,
+accepted or rejected, and the next iteration absorbs it unless it rebuilds B.
+Steps are globalized by a safeguarded quadratic backtracking line search that
+enforces a sufficient-decrease condition on the objective, and the damping
+factor is adapted multiplicatively on acceptance or rejection.
 Box bounds are kept by projection alone (:func:`constrain_step`).
 
 Only residual evaluations are required of the model: a callable mapping a
@@ -110,8 +112,8 @@ class Parameters:
     ``lower``/``upper`` use -inf/+inf (or None) for unbounded sides; all three
     are stored as read-only float64 copies.  Construction validates the bounds
     (non-degenerate, not NaN) and then the values: finite and inside the
-    bounds.  :meth:`with_values` keeps the validated bounds and checks only
-    the new values.
+    bounds.  :meth:`with_values` builds the same way; a run builds one at its
+    start, bootstrap point and end, and carries an array in between.
     """
 
     values: np.ndarray
@@ -128,24 +130,16 @@ class Parameters:
         if (lo >= hi).any():
             raise ConfigError("each lower bound must be strictly below its upper bound",
                               key="bounds")
-        for name, arr in (("lower", lo), ("upper", hi)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        self._set_values(values)
-
-    def _set_values(self, values) -> None:
-        values = np.array(check_type(values, (np.ndarray,), "beta0"))
+        values = np.array(values)
         if values.ndim != 1 or values.size < 1:
             raise ConfigError("parameter vector must be 1-D and non-empty", key="beta0")
-        if values.shape != self.lower.shape:
-            raise ConfigError(f"expected {self.lower.size} parameter values, "
-                              f"got {values.size}", key="beta0")
         if not np.isfinite(values).all():
             raise ConfigError("parameter values must be finite", key="beta0")
-        if (values < self.lower).any() or (values > self.upper).any():
+        if (values < lo).any() or (values > hi).any():
             raise ConfigError("parameter values violate their bounds", key="beta0")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        for name, arr in (("values", values), ("lower", lo), ("upper", hi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -153,11 +147,7 @@ class Parameters:
 
     def with_values(self, values: np.ndarray) -> "Parameters":
         """The same bounds at new ``values``, which must lie inside them."""
-        new = object.__new__(Parameters)
-        object.__setattr__(new, "lower", self.lower)
-        object.__setattr__(new, "upper", self.upper)
-        new._set_values(values)
-        return new
+        return Parameters(values, self.lower, self.upper)
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(values, self.lower), self.upper)  # np.clip, bit for bit
@@ -396,16 +386,16 @@ def assemble_lm_system(
     return a, rhs
 
 
-def constrain_step(beta: Parameters, a: np.ndarray, rhs: np.ndarray):
-    """Pin each coordinate on a bound that the descent direction ``rhs =
-    -B^T r`` points out of the box (Bertsekas 1982): its row and column of
-    the damped system ``a`` (changed in place) become the largest free
-    diagonal entry, or 1.0, times an identity row, and its ``rhs`` entry 0,
-    so the solve gives ``p_j = 0`` there and the LM step of the others.
+def constrain_step(x: np.ndarray, box: Parameters, a: np.ndarray, rhs: np.ndarray):
+    """Pin each coordinate of the iterate ``x`` that sits on a bound of
+    ``box`` while the descent direction ``rhs = -B^T r`` points out of the
+    box (Bertsekas 1982): its row and column of the damped system ``a``
+    (changed in place) become the largest free diagonal entry, or 1.0, times
+    an identity row, and its ``rhs`` entry 0, so the solve gives ``p_j = 0``
+    there and the LM step of the others.
     Returns ``(a, rhs)``; ``rhs`` is a copy when any coordinate is pinned.
     """
-    pinned = (((beta.values == beta.lower) & (rhs < 0))
-              | ((beta.values == beta.upper) & (rhs > 0)))
+    pinned = ((x == box.lower) & (rhs < 0)) | ((x == box.upper) & (rhs > 0))
     if not pinned.any():
         return a, rhs
     free = np.diagonal(a)[~pinned]
@@ -450,22 +440,24 @@ def update_lambda(lam: float, accepted: bool, config: SolverConfig) -> float:
 
 
 def backtrack(
-    beta: Parameters,
+    x: np.ndarray,
+    box: Parameters,
     p: np.ndarray,
     config: SolverConfig,
     evaluate: ResidualEvaluator,
     r_old: np.ndarray,
     slope: float,
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """Safeguarded quadratic backtracking along ``p`` from ``beta``.
+    """Safeguarded quadratic backtracking along ``p`` from the iterate ``x``.
 
-    ``evaluate`` returns whitened residuals and ``r_old`` is one of them.
-    ``slope`` is the derivative of phi = 0.5 * ||r||^2 at ``r_old`` along
-    ``p`` (see :func:`armijo_holds`).
+    ``evaluate`` returns whitened residuals and ``r_old`` is the one at
+    ``x``.  ``slope`` is the derivative of phi = 0.5 * ||r||^2 at ``r_old``
+    along ``p`` (see :func:`armijo_holds`).
 
-    Each trial is ``beta.clip(beta + alpha * p)``, from ``alpha = 1``.  A
-    failed trial is followed by the minimiser of the quadratic through phi(0),
-    ``slope`` and phi(alpha), clamped to ``[0.1 * alpha, 0.5 * alpha]``
+    Each trial is ``box.clip(x + alpha * p)``, from ``alpha = 1``: a point
+    inside the bounds of the :class:`Parameters` ``box``.  A failed trial is
+    followed by the minimiser of the quadratic through phi(0), ``slope`` and
+    phi(alpha), clamped to ``[0.1 * alpha, 0.5 * alpha]``
     (Dennis & Schnabel 1983, Alg. A6.3.1), or by ``0.5 * alpha`` when that
     quadratic has no positive curvature or phi(alpha) is not finite.  The
     search stops when the test passes or the next step would drop to the
@@ -476,33 +468,32 @@ def backtrack(
 
     A trial whose evaluation fails is treated like a failed decrease test;
     only if every trial fails to evaluate does the failure propagate.  A
-    trial whose squared norm overflows to inf fails the test; numpy's
-    overflow warnings are suppressed for the whole search, including the
-    evaluator's trial calls.
+    trial whose squared norm overflows to inf fails the test.  The search
+    runs under its caller's ``np.errstate``: :func:`optimize` turns numpy's
+    overflow warnings off for the whole run, trial evaluations included.
     """
     alpha = 1.0
     best: tuple | None = None  # (norm, alpha, trial, residuals)
     last_failure: EvaluatorFailure | None = None
-    with np.errstate(over="ignore"):
-        norm_old = weighted_norm(r_old)
-        while True:
-            trial = beta.clip(beta.values + alpha * p)
-            try:
-                r_new = evaluate(trial)
-            except EvaluatorFailure as exc:
-                last_failure, norm = exc, np.inf
-            else:
-                norm = weighted_norm(r_new)
-                if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
-                    return alpha, trial, r_new, True
-                if best is None or norm < best[0]:
-                    best = (norm, alpha, trial, r_new)
-            # alpha**2 times the quadratic's curvature; inf or NaN without a finite phi
-            curv = 0.5 * (norm * norm - norm_old * norm_old) - slope * alpha
-            shrink = -0.5 * slope * alpha / curv if 0.0 < curv < np.inf else 0.5
-            alpha *= min(max(shrink, 0.1), 0.5)
-            if alpha <= config.alpha_min:
-                break
+    norm_old = weighted_norm(r_old)
+    while True:
+        trial = box.clip(x + alpha * p)
+        try:
+            r_new = evaluate(trial)
+        except EvaluatorFailure as exc:
+            last_failure, norm = exc, np.inf
+        else:
+            norm = weighted_norm(r_new)
+            if armijo_holds(norm_old, norm, slope, alpha, config.armijo_c):
+                return alpha, trial, r_new, True
+            if best is None or norm < best[0]:
+                best = (norm, alpha, trial, r_new)
+        # alpha**2 times the quadratic's curvature; inf or NaN without a finite phi
+        curv = 0.5 * (norm * norm - norm_old * norm_old) - slope * alpha
+        shrink = -0.5 * slope * alpha / curv if 0.0 < curv < np.inf else 0.5
+        alpha *= min(max(shrink, 0.1), 0.5)
+        if alpha <= config.alpha_min:
+            break
     if best is None:
         raise EvaluatorFailure(
             f"every line-search trial failed to evaluate: {last_failure}",
@@ -569,14 +560,13 @@ class _SecantJacobian:
         self.last = (s, t)
         return "updated"
 
-    def refresh(self, ev: ResidualEvaluator, beta: Parameters,
+    def refresh(self, ev: ResidualEvaluator, x: np.ndarray, box: Parameters,
                 fd_config: "fdiff.FdConfig | None") -> str:
-        """Rebuild B in place by finite differences in ``beta``'s box and drop
+        """Rebuild B in place by finite differences at ``x`` in ``box`` and drop
         the pending pair.  An :class:`EvaluatorFailure` propagates and leaves
         B half-written, so B is None then and :meth:`state` has none to give."""
         b, self.b = self.b, None
-        self.b = fdiff.fd_jacobian(ev, beta.values, fd_config, beta.lower, beta.upper,
-                                   out=b)
+        self.b = fdiff.fd_jacobian(ev, x, fd_config, box.lower, box.upper, out=b)
         self.gram = self.rhs = self.pending = None
         return "refreshed"
 
@@ -712,25 +702,27 @@ def _optimize(
     """The optimization loop.  Returns the report and the run's secant
     Jacobian, or None when the bootstrap failed.  Every stop but the
     convergence ``break`` and the iteration cap goes through the one
-    ``except``, which prefixes the reason with ``bootstrap`` or ``iteration k``."""
+    ``except``, which prefixes the reason with ``bootstrap`` or ``iteration k``.
+    The iterate ``x`` is an array kept in ``beta``'s box by the line search's
+    clip; the report turns it back into :class:`Parameters`."""
     config = config or _default_config()
     beta = as_parameters(beta0, n_params)
-    n = beta.size
+    x, n = beta.values, beta.size
     ev = _CountingEvaluator(evaluate, weights)
     records: list[IterationRecord] = []
     r = jac = None
     k = 0
     status, reason = RunStatus.MaxIterations, None
     try:
-        r = ev(beta.values)
+        r = ev(x)
         if ev.m < n:
             raise ConfigError(f"under-determined system: {ev.m} residuals for {n} "
                               "parameters", key="evaluate")
-        perturbed = perturb_initial(beta, config)
-        r_pert = ev(perturbed.values)
+        x_pert = perturb_initial(beta, config).values
+        r_pert = ev(x_pert)
         jac = _SecantJacobian(ev.m, n, ev.sw)
-        jac.pending = (perturbed.values - beta.values, r_pert - r)
-        beta, r = perturbed, r_pert
+        jac.pending = (x_pert - x, r_pert - r)
+        x, r = x_pert, r_pert
         lam = config.lambda_init
         rejections = 0  # rejected line searches in a row since the last rebuild
 
@@ -741,14 +733,14 @@ def _optimize(
                 if stalled:
                     logger.debug("iteration %d: %d rejected line searches in a row, "
                                  "rebuilding B by finite differences", k, rejections)
-                jac.refresh(ev, beta, fd_config)
+                jac.refresh(ev, x, beta, fd_config)
                 rejections = 0
             else:
                 jac.absorb(r, k)
 
             # The projected direction; rank deficiency escalates the damping.
             while True:
-                a, rhs = constrain_step(beta, *jac.system(r, lam))
+                a, rhs = constrain_step(x, beta, *jac.system(r, lam))
                 try:
                     p = linalg.solve(a, rhs)
                     break
@@ -761,26 +753,26 @@ def _optimize(
                     lam = update_lambda(lam, accepted=False, config=config)
 
             if p.any():  # rhs = -B^T r, so the objective's slope along p is -(rhs @ p)
-                alpha, trial, r_new, accepted = backtrack(beta, p, config, ev, r,
+                alpha, trial, r_new, accepted = backtrack(x, beta, p, config, ev, r,
                                                           -float(rhs @ p))
                 # A refused move's best trial still carries secant information;
                 # absorbing it corrects the approximation that produced it.
-                jac.pending = (trial - beta.values, r_new - r)
+                jac.pending = (trial - x, r_new - r)
                 if accepted:
-                    beta, r = beta.with_values(trial), r_new
+                    x, r = trial, r_new
             else:  # a stationary point of the projected model: nothing to try
                 alpha, accepted = 0.0, True
 
             rn = weighted_norm(r)
             rec = IterationRecord(
                 k=k,
-                beta=beta.values.copy(),
+                beta=x.copy(),
                 residual_norm=rn,
                 objective=0.5 * rn * rn,
                 lam=lam,
                 alpha=alpha,
                 p_norm=math.sqrt(p @ p),  # np.linalg.norm(p)
-                max_rel_change=max_relative_change(p, beta.values),
+                max_rel_change=max_relative_change(p, x),
                 armijo_satisfied=accepted,
             )
             records.append(rec)
@@ -800,4 +792,5 @@ def _optimize(
         reason = f"{f'iteration {k}' if k else 'bootstrap'}: {exc}"
 
     rn = np.inf if r is None else weighted_norm(r)
-    return RunReport(status, beta, 0.5 * rn * rn, records, ev.count, reason), jac
+    report = RunReport(status, beta.with_values(x), 0.5 * rn * rn, records, ev.count, reason)
+    return report, jac

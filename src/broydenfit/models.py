@@ -176,6 +176,8 @@ def residuals_from_dataset(
         raise ConfigError(f"{model.kind} model over {data.d} variable(s) takes "
                           f"{expected} parameters, got {beta.size}", key="beta0")
     r = data.y - np.asarray(model.predict(data.x, beta), dtype=float)
+    # A run checks again at its boundary; outside one (serve-model, the FD
+    # Jacobian of check-jacobian) this is the only check.
     check_residuals(r, data.m)
     return r
 

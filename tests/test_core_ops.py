@@ -291,7 +291,8 @@ def test_secant_jacobian_says_what_it_did():
     assert jac.absorb(r, 2) == "skipped" and jac.pending is None
     a = rng.standard_normal((6, 2))
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
-    assert jac.refresh(lambda x: a @ x, Parameters(np.zeros(2)), None) == "refreshed"
+    box = Parameters(np.zeros(2))
+    assert jac.refresh(lambda x: a @ x, box.values, box, None) == "refreshed"
     assert jac.pending is None
     assert np.allclose(jac.b, a, rtol=1e-6, atol=1e-6)
 
@@ -330,7 +331,8 @@ def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
     for k in range(1, 22):
         r = rng.standard_normal(m)
         if k == 11:
-            jac.refresh(lambda x: a @ x, Parameters(rng.standard_normal(n)), None)
+            at = rng.standard_normal(n)
+            jac.refresh(lambda x: a @ x, at, Parameters(at), None)
         else:
             jac.pending = (rng.standard_normal(n), rng.standard_normal(m))
             assert jac.absorb(r, k) == "updated"
@@ -419,7 +421,7 @@ def test_constrain_pins_an_outward_coordinate_on_its_upper_bound():
     a, rhs = _lm_system()
     beta = Parameters([1.0, 0.5, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
     work = a.copy()
-    a_pin, rhs_pin = constrain_step(beta, work, rhs)
+    a_pin, rhs_pin = constrain_step(beta.values, beta, work, rhs)
     assert a_pin is work  # changed in place
     assert np.array_equal(a_pin, _pinned(a, 0, 3.0))
     assert np.array_equal(rhs_pin, [0.0, -1.0, 0.5])
@@ -432,7 +434,7 @@ def test_constrain_pins_an_outward_coordinate_on_its_upper_bound():
 def test_constrain_lower_bound_side():
     a, rhs = _lm_system()
     beta = Parameters([0.5, 0.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    a_pin, rhs_pin = constrain_step(beta, a.copy(), rhs)
+    a_pin, rhs_pin = constrain_step(beta.values, beta, a.copy(), rhs)
     assert np.array_equal(a_pin, _pinned(a, 1, 4.0))
     assert np.array_equal(rhs_pin, [2.0, 0.0, 0.5])
     assert solve(a_pin, rhs_pin)[1] == 0.0
@@ -442,7 +444,7 @@ def test_constrain_on_bound_coordinate_pointing_inward_stays_free():
     a, rhs = _lm_system()
     beta = Parameters([0.0, 1.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
     work = a.copy()
-    a_out, rhs_out = constrain_step(beta, work, rhs)
+    a_out, rhs_out = constrain_step(beta.values, beta, work, rhs)
     assert a_out is work and rhs_out is rhs
     assert np.array_equal(a_out, a)
 
@@ -452,14 +454,14 @@ def test_constrain_zero_direction():
     a, _ = _lm_system()
     beta = Parameters([0.0, 1.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
     rhs = np.zeros(3)
-    a_out, rhs_out = constrain_step(beta, a.copy(), rhs)
+    a_out, rhs_out = constrain_step(beta.values, beta, a.copy(), rhs)
     assert np.array_equal(a_out, a) and rhs_out is rhs
 
 
 def test_constrain_all_coordinates_pinned():
     a, rhs = _lm_system()
     beta = Parameters([1.0, 0.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    a_pin, rhs_pin = constrain_step(beta, a.copy(), rhs)
+    a_pin, rhs_pin = constrain_step(beta.values, beta, a.copy(), rhs)
     assert np.array_equal(a_pin, np.eye(3)) and np.array_equal(rhs_pin, np.zeros(3))
     assert not np.any(solve(a_pin, rhs_pin))
 
@@ -467,7 +469,8 @@ def test_constrain_all_coordinates_pinned():
 def test_constrain_unbounded_passes_through():
     a, rhs = _lm_system()
     work = a.copy()
-    a_out, rhs_out = constrain_step(Parameters([1.0, 0.0, -1.0]), work, rhs)
+    beta = Parameters([1.0, 0.0, -1.0])
+    a_out, rhs_out = constrain_step(beta.values, beta, work, rhs)
     assert a_out is work and rhs_out is rhs
     assert a_out.tobytes() == a.tobytes()
 
@@ -508,17 +511,17 @@ def test_armijo_does_not_depend_on_the_residual_unit():
 # --- backtracking -----------------------------------------------------------
 
 def _search_setup():
-    beta = Parameters([0.0, 0.0])
+    box = Parameters([0.0, 0.0])
     p = np.array([-1.0, -1.0])
     r_old = np.array([1.0, 1.0])
     slope = -2.0  # B = I: gradient B^T r_old = (1, 1), projected on p
-    return beta, p, r_old, slope
+    return box.values, box, p, r_old, slope
 
 
 def test_backtrack_full_step_one_evaluation():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([0.1, 0.0]))
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (1.0, True)
     assert ev.count == 1
     assert np.array_equal(trial, [-1.0, -1.0])
@@ -538,7 +541,7 @@ def _trial_points(fn):
 
 
 def test_backtrack_half_step_two_evaluations():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
 
     def fn(point):
         # The full step leaves the norm unchanged: the quadratic through
@@ -546,7 +549,7 @@ def test_backtrack_half_step_two_evaluations():
         return np.array([1.0, 1.0]) if point[0] == -1.0 else np.array([0.1, 0.0])
 
     ev, seen = _trial_points(fn)
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
     assert (alpha, ok) == (0.5, True)
     assert ev.count == 2 and seen == [1.0, 0.5]
     assert np.array_equal(trial, [-0.5, -0.5])
@@ -560,20 +563,20 @@ def test_backtrack_half_step_two_evaluations():
 def test_backtrack_quadratic_step_is_clamped(full_step, c, second):
     # phi(1) = 0.5 * ||full_step||^2 fails the test; the next trial is the
     # minimiser 1 / (phi(1) + 1) of 1 - 2 a + (phi(1) + 1) a^2.
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
 
     def fn(point):
         return np.array(full_step) if point[0] == -1.0 else np.array([0.0, 0.0])
 
     ev, seen = _trial_points(fn)
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(armijo_c=c), ev, r_old,
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(armijo_c=c), ev, r_old,
                                         slope)
     assert ok and alpha == pytest.approx(second, rel=1e-15)
     assert seen[0] == 1.0 and len(seen) == 2
 
 
 def test_backtrack_floor_counts_and_argmin():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
     # Trial point is (-alpha, -alpha); norm 3 - alpha always fails the
     # decrease test and is lowest at the full step.  By hand, the quadratic
     # through phi(0) = 1, slope -2 and phi(a) = (3 - a)^2 / 2 is least at
@@ -581,7 +584,7 @@ def test_backtrack_floor_counts_and_argmin():
     # minimiser falls below 0.1 * a, so the clamp steps by tenths until the
     # next step would reach the 1e-4 floor.
     ev, seen = _trial_points(lambda point: np.array([3.0 + point[0], 0.0]))
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
     assert seen == pytest.approx([1.0, 1 / 3, 1 / 29, 1 / 290, 1 / 2900], rel=1e-12)
     assert ev.count == 5
     assert not ok
@@ -592,49 +595,49 @@ def test_backtrack_floor_counts_and_argmin():
 def test_backtrack_halves_without_positive_curvature():
     # Along an ascent slope +2, phi(1) = 2 lies below phi(0) + slope = 3:
     # the quadratic through them has no positive curvature, so the step halves.
-    beta, p, r_old, _ = _search_setup()
+    x, box, p, r_old, _ = _search_setup()
     ev, seen = _trial_points(
         lambda point: np.array([2.0, 0.0]) if point[0] == -1.0 else np.array([0.0, 0.0]))
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, 2.0)
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, 2.0)
     assert (alpha, ok) == (0.5, True)
     assert seen == [1.0, 0.5]
 
 
 def test_backtrack_floor_tie_keeps_larger_alpha():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
     ev = CountingEvaluator(lambda point: np.array([3.0, 0.0]))
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), ev, r_old, slope)
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
     assert not ok
     assert alpha == 1.0
 
 
 def test_backtrack_failed_trial_is_skipped():
     # A failed trial has no phi to interpolate: the step halves.
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
 
     def fn(point):
         if point[0] == -1.0:
             raise EvaluatorFailure("unstable here")
         return np.array([0.1, 0.0])
 
-    alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(), CountingEvaluator(fn),
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), CountingEvaluator(fn),
                                         r_old, slope)
     assert (alpha, ok) == (0.5, True)
 
 
 def test_backtrack_all_trials_failing_propagates():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
 
     def fn(point):
         raise EvaluatorFailure("dead", category="process_died")
 
     with pytest.raises(EvaluatorFailure) as err:
-        backtrack(beta, p, SolverConfig(), fn, r_old, slope)
+        backtrack(x, box, p, SolverConfig(), fn, r_old, slope)
     assert err.value.category == "process_died"
 
 
 def test_backtrack_overflowing_trial_norm_is_rejected_silently():
-    beta, p, r_old, slope = _search_setup()
+    x, box, p, r_old, slope = _search_setup()
     huge = np.array([1e200, 1e200])  # finite, but its squared norm overflows
     # An infinite phi has no quadratic to interpolate: the step halves.
     with pytest.warns(RuntimeWarning):
@@ -643,12 +646,33 @@ def test_backtrack_overflowing_trial_norm_is_rejected_silently():
     def fn(point):
         return huge if point[0] == -1.0 else np.array([0.1, 0.0])
 
-    with warnings.catch_warnings():
+    # backtrack runs under its caller's errstate, which optimize sets for a run.
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("error")
-        alpha, trial, r_new, ok = backtrack(beta, p, SolverConfig(),
+        alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(),
                                             CountingEvaluator(fn), r_old, slope)
     assert (alpha, ok) == (0.5, True)
     assert np.array_equal(r_new, [0.1, 0.0])
+
+
+def test_optimize_rejects_an_overflowing_trial_norm_silently():
+    # The run-level half: the first direction overshoots (B starts as I, the
+    # Jacobian is 10 I) into the region where the squared norm overflows.
+    huge = np.array([1e200, 1e200])
+    overflowed = []
+
+    def fn(point):
+        if np.abs(point).max() > 3.0:
+            overflowed.append(point)
+            return huge
+        return 10.0 * (point - np.array([1.0, -1.0]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = core.optimize(fn, [1.0, 0.0])
+    assert overflowed
+    assert report.status is core.RunStatus.Converged
+    assert np.allclose(report.final_beta.values, [1.0, -1.0], rtol=0, atol=1e-6)
 
 
 def test_backtrack_first_tries_the_clipped_full_step():
@@ -662,7 +686,7 @@ def test_backtrack_first_tries_the_clipped_full_step():
         seen.append(point[0])
         return np.array([0.0])
 
-    alpha, trial, _, ok = backtrack(beta, p, SolverConfig(), fn, r_old, slope)
+    alpha, trial, _, ok = backtrack(beta.values, beta, p, SolverConfig(), fn, r_old, slope)
     assert ok and alpha == 1.0
     assert seen == [1.0] and np.array_equal(trial, [1.0])  # clip(0.5 + 10), on the bound
 
@@ -747,7 +771,8 @@ def test_with_values_keeps_the_validated_bounds():
     beta = Parameters([0.5, 0.5], lower=[0.0, -1.0], upper=[1.0, None])
     values = np.array([1.0, -1.0])  # on the bounds
     moved = beta.with_values(values)
-    assert moved.lower is beta.lower and moved.upper is beta.upper
+    assert np.array_equal(moved.lower, beta.lower)
+    assert np.array_equal(moved.upper, beta.upper)
     assert moved == Parameters(values, [0.0, -1.0], [1.0, None])
     values[0] = 0.25  # the instance holds its own read-only copy
     assert moved.values[0] == 1.0 and not moved.values.flags.writeable

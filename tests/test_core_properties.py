@@ -71,7 +71,7 @@ def test_constrain_step_solves_the_reduced_system(system):
     a, rhs, beta = system
     pinned = (((beta.values == beta.lower) & (rhs < 0))
               | ((beta.values == beta.upper) & (rhs > 0)))
-    p = solve(*constrain_step(beta, a.copy(), rhs))
+    p = solve(*constrain_step(beta.values, beta, a.copy(), rhs))
     assert np.all(p[pinned] == 0.0)
     free = ~pinned
     if free.any():

@@ -17,6 +17,7 @@ from broydenfit import (
     DatasetEvaluator,
     EvaluatorFailure,
     ExternalEvaluator,
+    ExponentialDecayModel,
     ExternalEvaluatorSpec,
     LinearModel,
 )
@@ -321,6 +322,19 @@ def test_serve_model_error_keeps_serving():
     replies = run_serve(lines)
     assert "error" in replies[0]
     assert replies[1] == {"v": 1, "id": 2, "residuals": [0.0, 0.0]}
+
+
+def test_serve_answers_an_overflowing_model_with_an_error():
+    # Outside a run, the model's own residual check is the only guard: exp
+    # overflows from x = 1 on, and the reply names the first non-finite index.
+    data = Dataset(x=np.array([0.0, 1.0, 2.0]), y=np.array([1.0, 0.5, 0.25]))
+    replies = run_serve('{"v":1,"id":4,"params":[1.0,-1000.0]}\n'
+                        '{"v":1,"id":5,"params":[1.0,0.0]}\n',
+                        DatasetEvaluator(ExponentialDecayModel(), data))
+    assert replies == [
+        {"v": 1, "id": 4, "error": "non-finite residual at index 1"},
+        {"v": 1, "id": 5, "residuals": [0.0, -0.5, -0.75]},
+    ]
 
 
 def test_serve_answers_unexpected_model_exception():

@@ -399,9 +399,39 @@ def test_refresh_rebuilds_b_in_place():
     beta = Parameters([1.0, 0.5])
     jac = core._SecantJacobian(40, 2, None)
     b = jac.b
-    assert jac.refresh(ev, beta, None) == "refreshed"
+    assert jac.refresh(ev, beta.values, beta, None) == "refreshed"
     assert jac.b is b
     assert np.array_equal(b, fd_jacobian(ev, beta.values))
+
+
+def _tall_linear_problem(n: int):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((4 * n, n - 1))
+    y = np.column_stack([np.ones(4 * n), x]) @ rng.standard_normal(n)
+    return DatasetEvaluator(LinearModel(), Dataset(x=x, y=y))
+
+
+@pytest.mark.parametrize("problem, n_params, min_accepted", [
+    (lambda: DatasetEvaluator(LinearModel(), linear_dataset()), 2, 3),  # 5 iterations
+    (lambda: _tall_linear_problem(26), 26, 30),  # 41 iterations
+], ids=["short", "long"])
+def test_with_values_runs_at_most_twice_per_run(problem, n_params, min_accepted,
+                                                 monkeypatch):
+    # The loop carries its iterate as an array: Parameters are built at the
+    # bootstrap point and at the exit, not at each accepted step.
+    calls = []
+    with_values = Parameters.with_values
+
+    def spy(self, values):
+        calls.append(values)
+        return with_values(self, values)
+
+    monkeypatch.setattr(Parameters, "with_values", spy)
+    report = optimize(problem(), n_params=n_params)
+    assert report.status is RunStatus.Converged
+    assert sum(rec.armijo_satisfied for rec in report.iterations) >= min_accepted
+    assert len(calls) <= 2
+    assert np.array_equal(calls[-1], report.final_beta.values)
 
 
 def test_rejected_iterations_raise_lambda():
@@ -496,12 +526,12 @@ def test_line_search_slope_is_the_projected_gradient(monkeypatch, weights):
         assembled.append((b.copy(), r.copy()))
         return assemble(b, r, lam, gram, rhs)
 
-    def spy_search(beta, p, config, evaluate, r_old, slope):
+    def spy_search(x, box, p, config, evaluate, r_old, slope):
         b, r = assembled[-1]
         assert np.array_equal(r_old, r)
         slopes.append(slope)
         assert slope == float((b.T @ r) @ p)
-        return search(beta, p, config, evaluate, r_old, slope)
+        return search(x, box, p, config, evaluate, r_old, slope)
 
     monkeypatch.setattr(core, "assemble_lm_system", spy_assemble)
     monkeypatch.setattr(core, "backtrack", spy_search)
