@@ -7,18 +7,12 @@ search; only black-box residual evaluations are required of the model.
 The names below are the public API that the README documents.  Solver
 internals stay importable from their modules (``broydenfit.core``,
 ``broydenfit.linalg``, ``broydenfit.fdiff``, ``broydenfit.external``).
+
+``optimize`` and ``optimize_with_state`` load ``broydenfit.core``, and
+scipy with it, on first access (PEP 562), so a process that never solves,
+such as a ``serve-model`` child, never pays for that import.
 """
 
-from .core import (
-    IterationRecord,
-    Parameters,
-    RunReport,
-    RunStatus,
-    SolverConfig,
-    SolverState,
-    optimize,
-    optimize_with_state,
-)
 from .errors import BroydenFitError, ConfigError, EvaluatorFailure, ParseError
 from .external import ExternalEvaluator, ExternalEvaluatorSpec
 from .fdiff import FdConfig
@@ -31,6 +25,14 @@ from .models import (
     LogisticModel,
     PolynomialModel,
     make_model,
+)
+from .records import (
+    IterationRecord,
+    Parameters,
+    RunReport,
+    RunStatus,
+    SolverConfig,
+    SolverState,
 )
 
 __version__ = "0.1.0"
@@ -60,3 +62,17 @@ __all__ = [
     "optimize",
     "optimize_with_state",
 ]
+
+_SOLVER = ("optimize", "optimize_with_state")
+
+
+def __getattr__(name):
+    if name in _SOLVER:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SOLVER})

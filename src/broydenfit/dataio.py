@@ -27,7 +27,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
+from .errors import BroydenFitError, ConfigError, ParseError, check_fields, check_type
+from .errors import _field_types
+from .external import ExternalEvaluator, ExternalEvaluatorSpec
+from .models import AnalyticModel, Dataset, DatasetEvaluator, make_model
+from .records import (
     IterationRecord,
     Parameters,
     RunReport,
@@ -35,10 +39,6 @@ from .core import (
     SolverConfig,
     _fields_equal,
 )
-from .errors import BroydenFitError, ConfigError, ParseError, check_fields, check_type
-from .errors import _field_types
-from .external import ExternalEvaluator, ExternalEvaluatorSpec
-from .models import AnalyticModel, Dataset, DatasetEvaluator, make_model
 
 RUNSPEC_SCHEMA = "broydenfit.runspec/1"
 REPORT_SCHEMA = "broydenfit.report/1"

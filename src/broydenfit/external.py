@@ -238,9 +238,12 @@ def serve(evaluate, stdin, stdout) -> None:
     """Answer protocol requests until standard input closes.
 
     ``evaluate`` maps a parameter array to residuals or raises
-    :class:`EvaluatorFailure`; failures, and any other exception the model
-    raises, become error responses (the latter with a traceback on standard
-    error) and serving continues.  Malformed request lines get an error
+    :class:`EvaluatorFailure`.  Each reply is checked here
+    (:func:`~broydenfit.errors.check_residuals`), as nothing else checks a
+    served model: a non-finite residual becomes an error response naming
+    its index.  Failures, and any other exception the model raises, become
+    error responses (the latter with a traceback on standard error) and
+    serving continues.  Malformed request lines get an error
     response echoing the id when one can be parsed, -1 otherwise.  A
     request with ``"binary": true`` gets its residuals as ``residuals_b64``.
     """
@@ -264,7 +267,8 @@ def serve(evaluate, stdin, stdout) -> None:
             stdout.flush()
             continue
         try:
-            residuals = evaluate(params)
+            residuals = np.asarray(evaluate(params), dtype=float)
+            check_residuals(residuals, None)
             reply = encode_response(req_id, residuals=residuals, binary=binary)
         except (EvaluatorFailure, ConfigError) as exc:
             reply = encode_response(req_id, error=str(exc))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, check_residuals, check_type
+from .errors import ConfigError, check_fields, check_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,20 +166,17 @@ def residuals_from_dataset(
 ) -> np.ndarray:
     """observed - predicted, in dataset order.
 
-    Raises:
-        EvaluatorFailure: when a residual is not finite
-            (:func:`~broydenfit.errors.check_residuals` names the first).
+    Non-finite residuals (an overflowing model) are returned as computed;
+    the boundary that called the model checks them
+    (:func:`~broydenfit.errors.check_residuals`): a run's evaluator,
+    ``serve``, or the finite-difference probes of ``check-jacobian``.
     """
     beta = np.asarray(beta, dtype=float)
     expected = model.param_count(data.d)
     if beta.size != expected:
         raise ConfigError(f"{model.kind} model over {data.d} variable(s) takes "
                           f"{expected} parameters, got {beta.size}", key="beta0")
-    r = data.y - np.asarray(model.predict(data.x, beta), dtype=float)
-    # A run checks again at its boundary; outside one (serve-model, the FD
-    # Jacobian of check-jacobian) this is the only check.
-    check_residuals(r, data.m)
-    return r
+    return data.y - np.asarray(model.predict(data.x, beta), dtype=float)
 
 
 class DatasetEvaluator:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from broydenfit import fdiff
+from broydenfit import core, fdiff, models
 from broydenfit.cli import STATUS_EXIT, main
 from broydenfit.core import RunStatus
 from broydenfit.dataio import read_report
@@ -128,6 +128,29 @@ def test_check_jacobian_probes_inside_the_box(tmp_path, monkeypatch, scheme):
     assert main(["check-jacobian", "--spec", str(spec), "--scheme", scheme]) == 0
     assert probes and all(x[0] <= 0.5 for x in probes)
     assert any(x[0] == 0.5 for x in probes)
+
+
+def test_check_jacobian_non_finite_probe_exits_3(tmp_path, monkeypatch, capsys):
+    # The model overflows once the fit is done: the finite-difference build
+    # outside the run still ends in an evaluator failure.
+    fitted, exact, fit = [], models.residuals_from_dataset, core.optimize_with_state
+
+    def residuals(model, data, beta):
+        r = exact(model, data, beta)
+        if fitted:
+            r[1] = np.inf
+        return r
+
+    def fit_then_overflow(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        fitted.append(True)
+        return result
+
+    monkeypatch.setattr(models, "residuals_from_dataset", residuals)
+    monkeypatch.setattr(core, "optimize_with_state", fit_then_overflow)
+    assert main(["check-jacobian", "--spec", str(make_spec(tmp_path))]) == 3
+    assert capsys.readouterr().err == ("error [non_finite]: probe for column 0 failed: "
+                                       "non-finite residual at index 1\n")
 
 
 def test_serve_model_subprocess_session(tmp_path):

@@ -325,8 +325,8 @@ def test_serve_model_error_keeps_serving():
 
 
 def test_serve_answers_an_overflowing_model_with_an_error():
-    # Outside a run, the model's own residual check is the only guard: exp
-    # overflows from x = 1 on, and the reply names the first non-finite index.
+    # serve checks each reply, as no run does in the child: exp overflows
+    # from x = 1 on, and the reply names the first non-finite index.
     data = Dataset(x=np.array([0.0, 1.0, 2.0]), y=np.array([1.0, 0.5, 0.25]))
     replies = run_serve('{"v":1,"id":4,"params":[1.0,-1000.0]}\n'
                         '{"v":1,"id":5,"params":[1.0,0.0]}\n',

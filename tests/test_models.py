@@ -12,6 +12,7 @@ from broydenfit import (
     PolynomialModel,
     make_model,
 )
+from broydenfit.core import _CountingEvaluator
 from broydenfit.models import residuals_from_dataset
 
 
@@ -34,9 +35,14 @@ def test_decay_zero_rate_residuals():
 
 
 def test_decay_overflow_names_datum():
+    # The model returns what it computed; a run's evaluator is the boundary
+    # that refuses it, naming the datum.
     data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([1.0, 1.0]))
+    beta = np.array([1.0, -1000.0])
+    r = residuals_from_dataset(ExponentialDecayModel(), data, beta)
+    assert r[0] == 0.0 and r[1] == -np.inf
     with pytest.raises(EvaluatorFailure) as err:
-        residuals_from_dataset(ExponentialDecayModel(), data, np.array([1.0, -1000.0]))
+        _CountingEvaluator(DatasetEvaluator(ExponentialDecayModel(), data))(beta)
     assert err.value.category == "non_finite"
     assert "index 1" in str(err.value)  # check_residuals' message, shared by all evaluators
 
