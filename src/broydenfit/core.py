@@ -8,8 +8,8 @@ iteration with a nonzero direction queues the best trial of its line search,
 accepted or rejected, and the next iteration absorbs it unless it rebuilds B.
 Steps are globalized by a safeguarded quadratic backtracking line search that
 enforces a sufficient-decrease condition on the objective, and the damping
-factor is adapted multiplicatively on acceptance or rejection.
-Box bounds are kept by projection alone (:func:`constrain_step`).
+factor is adapted multiplicatively on acceptance or rejection.  Bounds are
+kept by projection: pinned coordinates leave the solve (:func:`solve_free`).
 
 Only residual evaluations are required of the model: a callable mapping a
 parameter vector of length n to a residual vector of fixed length m >= n.
@@ -212,22 +212,21 @@ def assemble_lm_system(
     return a, rhs
 
 
-def constrain_step(x: np.ndarray, box: Parameters, a: np.ndarray, rhs: np.ndarray):
-    """Pin each coordinate of the iterate ``x`` that sits on a bound of
-    ``box`` while the descent direction ``rhs = -B^T r`` points out of the
-    box (Bertsekas 1982): its row and column of the damped system ``a``
-    (changed in place) become the largest free diagonal entry, or 1.0, times
-    an identity row, and its ``rhs`` entry 0, so the solve gives ``p_j = 0``
-    there and the LM step of the others.
-    Returns ``(a, rhs)``; ``rhs`` is a copy when any coordinate is pinned.
-    """
-    pinned = ((x == box.lower) & (rhs < 0)) | ((x == box.upper) & (rhs > 0))
+def constrain_step(x: np.ndarray, box: Parameters, rhs: np.ndarray) -> np.ndarray:
+    """The mask of the coordinates of ``x`` that sit on a bound of ``box`` while
+    the descent direction ``rhs = -B^T r`` points out of it (Bertsekas 1982)."""
+    return ((x == box.lower) & (rhs < 0)) | ((x == box.upper) & (rhs > 0))
+
+
+def solve_free(a: np.ndarray, rhs: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """The damped step ``p``: 0 on the ``pinned`` coordinates, and on the free
+    ones the solve of their own rows and columns of ``a`` (none if all pinned)."""
     if not pinned.any():
-        return a, rhs
-    free = np.diagonal(a)[~pinned]
-    a[pinned], a[:, pinned] = 0.0, 0.0
-    a[pinned, pinned] = free.max() if free.size else 1.0
-    return a, np.where(pinned, 0.0, rhs)
+        return linalg.solve(a, rhs)
+    p, free = np.zeros(rhs.size), ~pinned
+    if free.any():
+        p[free] = linalg.solve(a[np.ix_(free, free)], rhs[free])
+    return p
 
 
 def armijo_holds(
@@ -566,9 +565,9 @@ def _optimize(
 
             # The projected direction; rank deficiency escalates the damping.
             while True:
-                a, rhs = constrain_step(x, beta, *jac.system(r, lam))
+                a, rhs = jac.system(r, lam)
                 try:
-                    p = linalg.solve(a, rhs)
+                    p = solve_free(a, rhs, constrain_step(x, beta, rhs))
                     break
                 except ValueError as exc:  # inf or NaN: no damping makes it finite
                     raise _Floor(f"non-finite normal equations ({exc})")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from broydenfit import ConfigError, EvaluatorFailure, Parameters, SolverConfig
-from broydenfit import core
+from broydenfit import core, linalg
 from broydenfit.core import (
     armijo_holds,
     assemble_lm_system,
@@ -16,6 +16,7 @@ from broydenfit.core import (
     gram_matrix,
     max_relative_change,
     perturb_initial,
+    solve_free,
     update_lambda,
     weighted_norm,
 )
@@ -402,77 +403,82 @@ def test_solve_singular_signal():
 
 # --- projection onto the box -------------------------------------------------
 # constrain_step pins a coordinate that sits on a bound while rhs = -B^T r
-# points out of the box: its row and column become a scaled identity row
-# (the largest free diagonal entry) with right-hand side 0.
+# points out of the box; solve_free gives it a zero step and solves the
+# damped system of the free coordinates alone.
 
 def _lm_system():
     return (np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]),
             np.array([2.0, -1.0, 0.5]))
 
 
-def _pinned(a, j, scale):
-    a = a.copy()
-    a[j], a[:, j] = 0.0, 0.0
-    a[j, j] = scale
-    return a
-
-
 def test_constrain_pins_an_outward_coordinate_on_its_upper_bound():
     a, rhs = _lm_system()
     beta = Parameters([1.0, 0.5, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
+    pinned = constrain_step(beta.values, beta, rhs)
+    assert pinned.dtype == bool and pinned.tolist() == [True, False, False]
     work = a.copy()
-    a_pin, rhs_pin = constrain_step(beta.values, beta, work, rhs)
-    assert a_pin is work  # changed in place
-    assert np.array_equal(a_pin, _pinned(a, 0, 3.0))
-    assert np.array_equal(rhs_pin, [0.0, -1.0, 0.5])
-    assert np.array_equal(rhs, [2.0, -1.0, 0.5])  # the caller's vector is kept
-    p = solve(a_pin, rhs_pin)
+    p = solve_free(work, rhs, pinned)
+    assert np.array_equal(work, a) and np.array_equal(rhs, [2.0, -1.0, 0.5])
     assert p[0] == 0.0
-    assert np.allclose(p[1:], np.linalg.solve(a[1:, 1:], rhs[1:]), rtol=1e-12, atol=0)
+    assert p[1:].tobytes() == solve(a[1:, 1:], rhs[1:]).tobytes()
 
 
 def test_constrain_lower_bound_side():
     a, rhs = _lm_system()
     beta = Parameters([0.5, 0.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    a_pin, rhs_pin = constrain_step(beta.values, beta, a.copy(), rhs)
-    assert np.array_equal(a_pin, _pinned(a, 1, 4.0))
-    assert np.array_equal(rhs_pin, [2.0, 0.0, 0.5])
-    assert solve(a_pin, rhs_pin)[1] == 0.0
+    pinned = constrain_step(beta.values, beta, rhs)
+    assert pinned.tolist() == [False, True, False]
+    p = solve_free(a, rhs, pinned)
+    assert p[1] == 0.0
+    assert p[[0, 2]].tobytes() == solve(a[np.ix_([0, 2], [0, 2])], rhs[[0, 2]]).tobytes()
 
 
 def test_constrain_on_bound_coordinate_pointing_inward_stays_free():
     a, rhs = _lm_system()
     beta = Parameters([0.0, 1.0, 0.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    work = a.copy()
-    a_out, rhs_out = constrain_step(beta.values, beta, work, rhs)
-    assert a_out is work and rhs_out is rhs
-    assert np.array_equal(a_out, a)
+    pinned = constrain_step(beta.values, beta, rhs)
+    assert not pinned.any()
+    assert solve_free(a, rhs, pinned).tobytes() == solve(a, rhs).tobytes()
 
 
 def test_constrain_zero_direction():
     # A zero component of rhs does not point out of the box.
-    a, _ = _lm_system()
     beta = Parameters([0.0, 1.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    rhs = np.zeros(3)
-    a_out, rhs_out = constrain_step(beta.values, beta, a.copy(), rhs)
-    assert np.array_equal(a_out, a) and rhs_out is rhs
+    assert not constrain_step(beta.values, beta, np.zeros(3)).any()
 
 
-def test_constrain_all_coordinates_pinned():
+def test_constrain_all_coordinates_pinned(monkeypatch):
     a, rhs = _lm_system()
     beta = Parameters([1.0, 0.0, 1.0], lower=[0.0, 0.0, -1.0], upper=[1.0, 1.0, 1.0])
-    a_pin, rhs_pin = constrain_step(beta.values, beta, a.copy(), rhs)
-    assert np.array_equal(a_pin, np.eye(3)) and np.array_equal(rhs_pin, np.zeros(3))
-    assert not np.any(solve(a_pin, rhs_pin))
+    pinned = constrain_step(beta.values, beta, rhs)
+    assert pinned.all()
+
+    def no_solve(*args):
+        raise AssertionError("an all-pinned step needs no solve")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    p = solve_free(a, rhs, pinned)
+    assert p.shape == (3,) and not p.any()
 
 
 def test_constrain_unbounded_passes_through():
     a, rhs = _lm_system()
-    work = a.copy()
     beta = Parameters([1.0, 0.0, -1.0])
-    a_out, rhs_out = constrain_step(beta.values, beta, work, rhs)
-    assert a_out is work and rhs_out is rhs
-    assert a_out.tobytes() == a.tobytes()
+    for sign in (1.0, -1.0):
+        assert not constrain_step(beta.values, beta, sign * rhs).any()
+    assert solve_free(a, rhs, np.zeros(3, bool)).tobytes() == solve(a, rhs).tobytes()
+
+
+def test_a_pinned_coordinate_does_not_enter_the_pivot_test():
+    # The free block alone passes the pivot-ratio test (5.0e-14 > 1e-14); a
+    # pinned row of any scale, here 100, must not make it singular.
+    a = np.array([[1.0, 10.0, 0.0], [10.0, 100.0 + 5e-12, 0.0], [0.0, 0.0, 100.0]])
+    rhs = np.array([1.0, 2.0, 3.0])
+    p = solve_free(a, rhs, np.array([False, False, True]))
+    assert p[2] == 0.0
+    assert p[:2].tobytes() == solve(a[:2, :2], rhs[:2]).tobytes()
+    with pytest.raises(SingularSystem):  # the whole system: pivot ratio 5.0e-15
+        solve(a, rhs)
 
 
 # --- sufficient decrease ----------------------------------------------------

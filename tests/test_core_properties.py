@@ -19,6 +19,7 @@ from broydenfit.core import (
     broyden_update,
     constrain_step,
     perturb_initial,
+    solve_free,
     weighted_norm,
 )
 from broydenfit.linalg import solve
@@ -71,12 +72,12 @@ def test_constrain_step_solves_the_reduced_system(system):
     a, rhs, beta = system
     pinned = (((beta.values == beta.lower) & (rhs < 0))
               | ((beta.values == beta.upper) & (rhs > 0)))
-    p = solve(*constrain_step(beta.values, beta, a.copy(), rhs))
+    assert np.array_equal(constrain_step(beta.values, beta, rhs), pinned)
+    p = solve_free(a, rhs, pinned)
     assert np.all(p[pinned] == 0.0)
     free = ~pinned
     if free.any():
-        expected = solve(a[np.ix_(free, free)], rhs[free])
-        assert np.linalg.norm(p[free] - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert p[free].tobytes() == solve(a[np.ix_(free, free)], rhs[free]).tobytes()
 
 
 def test_gradient_descent_limit():

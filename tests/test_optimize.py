@@ -725,3 +725,41 @@ def test_active_bound_blocks_the_optimum():
     assert np.all(report.final_beta.values <= [0.5, 10.0])
     for rec in report.iterations:
         assert rec.beta[0] <= 0.5
+
+
+def test_pinned_coordinates_never_reach_the_solve(monkeypatch):
+    # The intercept stops on its upper bound 0.5 and is pinned there.  Each
+    # direction solve gets the k x k system of the k free coordinates only,
+    # and a pinned coordinate's step is exactly 0.
+    events = []
+
+    def spy(kind, fn, record):
+        def wrapper(*args):
+            events.append((kind, record(*args)))
+            return fn(*args)
+        return wrapper
+
+    def pinned(x, box, *system):  # rhs = -B^T r comes last
+        rhs = system[-1]
+        return ((x == box.lower) & (rhs < 0)) | ((x == box.upper) & (rhs > 0))
+
+    monkeypatch.setattr(core, "constrain_step", spy("pinned", core.constrain_step, pinned))
+    monkeypatch.setattr(core.linalg, "solve",
+                        spy("solve", core.linalg.solve, lambda a, rhs: a.shape))
+    monkeypatch.setattr(core, "backtrack",
+                        spy("step", core.backtrack, lambda x, box, p, *rest: p.copy()))
+    ev = DatasetEvaluator(LinearModel(), linear_dataset())
+    report = optimize(ev, Parameters([0.0, 0.0], lower=[-1.0, -1.0], upper=[0.5, 10.0]))
+    assert report.status is RunStatus.Converged
+    assert report.final_beta.values[0] == 0.5
+    mask, sizes = None, []
+    for kind, value in events:
+        if kind == "pinned":
+            mask = value
+        elif kind == "solve":
+            k = int((~mask).sum())
+            assert value == (k, k)
+            sizes.append(k)
+        else:
+            assert np.all(value[mask] == 0.0)
+    assert min(sizes) < 2
