@@ -17,11 +17,12 @@ An iteration reads and writes the m x n secant matrix once, one cache-sized
 block of rows at a time (:func:`broyden_update`): the rank-one update, the
 upkeep of its Gram matrix and the right-hand side of the next solve.
 
-The driver keeps that state in one object, ``_SecantJacobian``: B, its Gram
-matrix, the right-hand side and the step pair waiting to be absorbed.  Each
-iteration it absorbs the pair or refreshes B, then assembles the solve.  The
-Gram matrix is computed from B only where B is built (the first solve, each
-rebuild); in between, the secant updates carry it.
+B's state lives in one object, ``_SecantJacobian``: B, its Gram matrix and
+the step pair waiting to be absorbed.  Each iteration absorbs the pair, whose
+pass also gives the right-hand side, or rebuilds B; the driver then assembles
+the damped system itself.  The Gram matrix is computed from B, and so exact,
+at the first absorb (after the bootstrap pair) and at each rebuild; in
+between, the secant updates carry it.
 
 A secant matrix can stop giving descent directions.  After
 ``STALL_REFRESH_REJECTIONS`` (2) rejected line searches in a row, the next
@@ -103,8 +104,10 @@ def _perturbed_coordinate(v: float, lo: float, hi: float, rel: float, ab: float)
         clipped = min(max(cand, lo), hi)
         if clipped != v:
             return clipped
-    raise ConfigError(f"cannot perturb parameter stuck at {v} within [{lo}, {hi}]",
-                      key="bounds")
+    # lo < hi, so only round-off can leave every candidate at v
+    raise ConfigError(f"cannot perturb parameter {v}: perturbation_rel {rel} and "
+                      f"perturbation_abs {ab} are both lost to its rounding",
+                      key="perturbation_rel")
 
 
 def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
@@ -356,52 +359,41 @@ class _CountingEvaluator:
 class _SecantJacobian:
     """The secant approximation B of the m x n Jacobian of the whitened
     residuals ``sw * r``: B (from ``eye(m, n)`` on the raw residuals, so
-    ``sw``-scaled rows), its Gram matrix ``B^T B`` (exact at the first
-    :meth:`system` and the one after each :meth:`refresh`, carried by each
-    update in between), the right-hand side ``-B^T r`` left by the last
-    update's pass, the ``pending`` step pair ``(s, t)`` and the last pair
+    ``sw``-scaled rows), its Gram matrix ``B^T B`` (exact after the first
+    :meth:`absorb` and after each :meth:`refresh`, carried by each update in
+    between), the ``pending`` step pair ``(s, t)`` and the last pair
     absorbed."""
 
     def __init__(self, m: int, n: int, sw: np.ndarray | None):
         # private to this run, so updated in place
         self.b = np.eye(m, n) if sw is None else np.eye(m, n) * sw[:, None]
         self.sw = sw
-        self.gram: np.ndarray | None = None  # None: system() computes it afresh
-        self.rhs: np.ndarray | None = None
+        self.gram: np.ndarray | None = None  # None: the first absorb computes it
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
 
-    def absorb(self, r: np.ndarray, k: int) -> str:
-        """Rank-one update of B by the pending pair, whose pass also leaves
-        the right-hand side at residuals ``r``; a stagnant step is skipped,
-        with a warning naming iteration ``k``."""
-        (s, t), self.pending, self.rhs = self.pending, None, None
+    def absorb(self, r: np.ndarray, k: int) -> np.ndarray | None:
+        """Rank-one update of B by the pending pair; returns the right-hand
+        side ``-B^T r`` at residuals ``r`` that its pass leaves.  A stagnant
+        step is skipped, with a warning naming iteration ``k``, and gives None."""
+        (s, t), self.pending, rhs = self.pending, None, None
         try:
-            _, self.rhs = broyden_update(self.b, s, t, out=self.b, gram=self.gram,
-                                         residuals=r)
+            _, rhs = broyden_update(self.b, s, t, out=self.b, gram=self.gram, residuals=r)
+            self.last = (s, t)
         except StagnantStep as exc:
             logger.warning("iteration %d: secant update skipped (%s)", k, exc)
-            return "skipped"
-        self.last = (s, t)
-        return "updated"
-
-    def refresh(self, ev: ResidualEvaluator, x: np.ndarray, box: Parameters,
-                fd_config: "fdiff.FdConfig | None") -> str:
-        """Rebuild B in place by finite differences at ``x`` in ``box`` and drop
-        the pending pair.  An :class:`EvaluatorFailure` propagates and leaves
-        B half-written, so B is None then and :meth:`state` has none to give."""
-        b, self.b = self.b, None
-        self.b = fdiff.fd_jacobian(ev, x, fd_config, box.lower, box.upper, out=b)
-        self.gram = self.rhs = self.pending = None
-        return "refreshed"
-
-    def system(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """The damped normal equations at ``r`` (:func:`assemble_lm_system`),
-        computing the Gram matrix from B first when B was just built."""
         if self.gram is None:
             self.gram = gram_matrix(self.b)
-        a, self.rhs = assemble_lm_system(self.b, r, lam, self.gram, self.rhs)
-        return a, self.rhs
+        return rhs
+
+    def refresh(self, ev: ResidualEvaluator, x: np.ndarray, box: Parameters,
+                fd_config: "fdiff.FdConfig | None") -> None:
+        """Rebuild B in place by finite differences at ``x`` in ``box``, and its
+        Gram matrix, and drop the pending pair.  An :class:`EvaluatorFailure`
+        propagates and leaves B half-written, so B is None: :meth:`state` has none."""
+        b, self.b = self.b, None
+        self.b = fdiff.fd_jacobian(ev, x, fd_config, box.lower, box.upper, out=b)
+        self.gram, self.pending = gram_matrix(self.b), None
 
     @np.errstate(over="ignore", invalid="ignore")
     def state(self) -> SolverState:
@@ -559,13 +551,13 @@ def _optimize(
                     logger.debug("iteration %d: %d rejected line searches in a row, "
                                  "rebuilding B by finite differences", k, rejections)
                 jac.refresh(ev, x, beta, fd_config)
-                rejections = 0
+                rhs, rejections = None, 0
             else:
-                jac.absorb(r, k)
+                rhs = jac.absorb(r, k)
 
             # The projected direction; rank deficiency escalates the damping.
             while True:
-                a, rhs = jac.system(r, lam)
+                a, rhs = assemble_lm_system(jac.b, r, lam, jac.gram, rhs)
                 try:
                     p = solve_free(a, rhs, constrain_step(x, beta, rhs))
                     break

@@ -3,7 +3,8 @@
 The n x n systems from the step assembly are symmetric, positive
 semi-definite plus damping, and small.  LAPACK's pivoted LU (``dgetrf``,
 called directly) factors each once, and the solve (``dgetrs``) reuses the
-factor.  LU rather than Cholesky keeps scaled-identity systems exact.
+factor.  LU rather than Cholesky: an undamped system is only semi-definite,
+where Cholesky can fail on round-off before the pivot test below judges it.
 Callers rely on a small relative residual for well-conditioned inputs, and
 on :class:`SingularSystem` instead of a garbage solution when a pivot
 collapses."""

@@ -87,6 +87,16 @@ def test_fit_dead_external_exits_3(tmp_path, capsys):
     assert "status=EvaluatorFailure" in capsys.readouterr().out
 
 
+def test_check_jacobian_dead_external_exits_3(tmp_path, capsys):
+    spec = tmp_path / "run.json"
+    spec.write_text(json.dumps({
+        "model": {"command": [sys.executable, "-c", "import sys; sys.exit(1)"]},
+        "n_params": 2,
+    }))
+    assert main(["check-jacobian", "--spec", str(spec)]) == 3
+    assert capsys.readouterr().err.startswith("error: bootstrap: ")
+
+
 def test_fit_verbose_prints_iterations(tmp_path, capsys):
     code = main(["fit", "--spec", str(make_spec(tmp_path)), "-v"])
     captured = capsys.readouterr()

@@ -110,6 +110,16 @@ def test_perturb_changes_every_coordinate():
         assert np.all(out.values >= lo) and np.all(out.values <= hi)
 
 
+def test_perturb_lost_to_rounding_names_both_sizes():
+    # Both sizes below half the float spacing of 1.0: no candidate moves it.
+    cfg = SolverConfig(perturbation_rel=1e-20, perturbation_abs=1e-300)
+    with pytest.raises(ConfigError) as err:
+        perturb_initial(Parameters([1.0]), cfg)
+    assert err.value.key == "perturbation_rel"
+    assert "perturbation_rel 1e-20" in str(err.value)
+    assert "perturbation_abs 1e-300" in str(err.value)
+
+
 # --- secant update ----------------------------------------------------------
 
 def test_broyden_hand_example():
@@ -173,6 +183,13 @@ def test_broyden_update_out_is_written_in_place(m, n):
     assert np.array_equal(b2, expected)
     assert broyden_update(b, s, t, out=b) is b
     assert np.array_equal(b, expected)
+
+
+def test_broyden_update_out_must_be_c_contiguous_float64():
+    b, s, t = _random_pair(6, 2)
+    for out in (np.asfortranarray(b), b.astype(np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            broyden_update(b, s, t, out=out)
 
 
 @pytest.fixture
@@ -284,18 +301,22 @@ def _secant_jacobian(m, n, weights):
 
 
 def test_secant_jacobian_says_what_it_did():
+    # An update returns the right-hand side -B^T r of the updated B, a skip
+    # returns None, and a refresh returns None with B's Gram matrix exact.
     jac, rng = _secant_jacobian(6, 2, None)
     r = rng.standard_normal(6)
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
-    assert jac.absorb(r, 1) == "updated" and jac.pending is None
+    rhs = jac.absorb(r, 1)
+    assert rhs.tobytes() == (-(jac.b.T @ r)).tobytes() and jac.pending is None
     jac.pending = (np.full(2, 1e-16), rng.standard_normal(6))
-    assert jac.absorb(r, 2) == "skipped" and jac.pending is None
+    assert jac.absorb(r, 2) is None and jac.pending is None
     a = rng.standard_normal((6, 2))
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
     box = Parameters(np.zeros(2))
-    assert jac.refresh(lambda x: a @ x, box.values, box, None) == "refreshed"
+    assert jac.refresh(lambda x: a @ x, box.values, box, None) is None
     assert jac.pending is None
     assert np.allclose(jac.b, a, rtol=1e-6, atol=1e-6)
+    assert jac.gram.tobytes() == gram_matrix(jac.b).tobytes()
 
 
 @pytest.mark.parametrize("weights", [None, "random"])
@@ -304,10 +325,9 @@ def test_secant_jacobian_skip_leaves_b_and_gram_untouched(weights, caplog):
     r = rng.standard_normal(6)
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
     jac.absorb(r, 1)
-    jac.system(r, 0.1)
     b, gram, last = jac.b.copy(), jac.gram, jac.last
     jac.pending = (np.full(2, 1e-16), rng.standard_normal(6))
-    assert jac.absorb(r, 2) == "skipped"
+    assert jac.absorb(r, 2) is None
     assert np.array_equal(jac.b, b)
     assert jac.gram is gram and np.array_equal(gram, gram_matrix(b))
     assert jac.last is last
@@ -319,11 +339,11 @@ def test_secant_jacobian_skip_leaves_b_and_gram_untouched(weights, caplog):
 @pytest.mark.parametrize("weights", [None, "random"])
 def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
     # The Gram matrix is computed afresh only where B is built: at the first
-    # system() and at the first one after a refresh.  There system()
-    # assembles what assemble_lm_system assembles from B alone, bit for bit.
-    # The updates in between carry it within the drift bound of
-    # test_incremental_gram_drift_is_bounded; the right-hand side of their
-    # pass is -B^T r, bit for bit.
+    # absorb and at each refresh.  There the driver's system, assembled from
+    # it and the right-hand side absorb returns, is what assemble_lm_system
+    # assembles from B alone, bit for bit.  The updates in between carry it
+    # within the drift bound of test_incremental_gram_drift_is_bounded; the
+    # right-hand side of their pass is -B^T r, bit for bit.
     m, n, lam = 30, 4, 0.5
     jac, rng = _secant_jacobian(m, n, weights)
     a = rng.standard_normal((m, n))
@@ -331,17 +351,18 @@ def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
     exact_points, since, scale = [], 0, 0.0
     for k in range(1, 22):
         r = rng.standard_normal(m)
+        before = jac.gram
         if k == 11:
             at = rng.standard_normal(n)
-            jac.refresh(lambda x: a @ x, at, Parameters(at), None)
+            rhs = jac.refresh(lambda x: a @ x, at, Parameters(at), None)
         else:
             jac.pending = (rng.standard_normal(n), rng.standard_normal(m))
-            assert jac.absorb(r, k) == "updated"
-        fresh = jac.gram is None
-        got = jac.system(r, lam)
+            rhs = jac.absorb(r, k)
+            assert rhs.tobytes() == (-(jac.b.T @ r)).tobytes()
+        got = assemble_lm_system(jac.b, r, lam, jac.gram, rhs)
         want = assemble_lm_system(jac.b, r, lam)
         assert got[1].tobytes() == want[1].tobytes()
-        if fresh:
+        if jac.gram is not before:  # a new matrix, not the one updated in place
             exact_points.append(k)
             assert got[0].tobytes() == want[0].tobytes()
             since, scale = 0, np.linalg.norm(jac.gram, 2)
@@ -780,5 +801,6 @@ def test_with_values_keeps_the_validated_bounds():
     assert np.array_equal(moved.lower, beta.lower)
     assert np.array_equal(moved.upper, beta.upper)
     assert moved == Parameters(values, [0.0, -1.0], [1.0, None])
+    assert not Parameters([0.0]) == 3  # only Parameters equal Parameters
     values[0] = 0.25  # the instance holds its own read-only copy
     assert moved.values[0] == 1.0 and not moved.values.flags.writeable

@@ -78,6 +78,11 @@ def test_non_positive_weight(tmp_path):
     assert err.value.line == 3
 
 
+def test_duplicate_column_names(tmp_path):
+    with pytest.raises(ParseError, match="duplicate column names"):
+        load_dataset(write(tmp_path, "d.csv", "x1,x1,y\n0,1,2\n"))
+
+
 def test_non_contiguous_x_columns(tmp_path):
     with pytest.raises(ParseError):
         load_dataset(write(tmp_path, "d.csv", "x1,x3,y\n0,1,2\n"))
@@ -148,6 +153,17 @@ def test_model_exclusivity(tmp_path):
         {"model": {"kind": "linear", "command": ["prog"]}, "dataset": "d.csv"}
     ))
     with pytest.raises(ConfigError) as err:
+        load_runspec(path)
+    assert err.value.key == "model"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"model": {}}, "needs either a 'kind' or a 'command'"),
+    ({}, "run spec needs a model"),
+], ids=["empty-model", "no-model"])
+def test_runspec_needs_a_model(tmp_path, spec, message):
+    path = write(tmp_path, "run.json", json.dumps(spec))
+    with pytest.raises(ConfigError, match=message) as err:
         load_runspec(path)
     assert err.value.key == "model"
 

@@ -22,7 +22,7 @@ from broydenfit import (
     LinearModel,
 )
 from broydenfit.core import _CountingEvaluator
-from broydenfit.external import _decode_response, encode_request, serve
+from broydenfit.external import _decode_response, encode_request, encode_response, serve
 from broydenfit.fdiff import fd_jacobian
 
 from conftest import json_values
@@ -390,6 +390,11 @@ def test_binary_round_trip_is_bit_exact(values):
     decoded = _decode_response(line, 4)
     assert decoded.dtype == np.dtype(float) and decoded.flags.writeable
     assert np.array_equal(decoded.view(np.uint64), values.view(np.uint64))
+
+
+def test_binary_response_must_be_a_vector():
+    with pytest.raises(TypeError, match=r"residuals must be a vector, got shape \(2, 2\)"):
+        encode_response(0, residuals=np.zeros((2, 2)), binary=True)
 
 
 @pytest.mark.parametrize("extra", [{}, {"binary": False}, {"binary": 1}],

@@ -25,6 +25,12 @@ def test_zero_matrix_raises():
         solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
+def test_overflowing_solution_raises():
+    # One pivot, so the ratio test passes; 1e300 / 1e-300 overflows.
+    with pytest.raises(SingularSystem, match="solution overflowed"):
+        solve(np.array([[1e-300]]), np.array([1e300]))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("where", ["a", "b"])
 def test_non_finite_input_raises_value_error(where, bad):

@@ -119,6 +119,8 @@ def test_dataset_validation():
         Dataset(x=np.array([[0.0], [1.0]]), y=np.array([1.0]))
     with pytest.raises(ConfigError):
         Dataset(x=np.array([[0.0]]), y=np.array([1.0]), weights=np.array([0.0]))
+    with pytest.raises(ConfigError):
+        Dataset(x=np.zeros((2, 1, 1)), y=np.zeros(2))  # 3-D x
 
 
 def test_make_model():

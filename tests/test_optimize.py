@@ -399,9 +399,10 @@ def test_refresh_rebuilds_b_in_place():
     beta = Parameters([1.0, 0.5])
     jac = core._SecantJacobian(40, 2, None)
     b = jac.b
-    assert jac.refresh(ev, beta.values, beta, None) == "refreshed"
+    assert jac.refresh(ev, beta.values, beta, None) is None
     assert jac.b is b
     assert np.array_equal(b, fd_jacobian(ev, beta.values))
+    assert jac.gram.tobytes() == core.gram_matrix(b).tobytes()
 
 
 def _tall_linear_problem(n: int):

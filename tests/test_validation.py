@@ -81,6 +81,16 @@ python_values = (json_values | st.tuples(st.text(max_size=4)) | st.complex_numbe
                  id="dataset-weights-bool"),
     pytest.param(lambda: optimize(DatasetEvaluator(LinearModel(), linear_dataset()),
                                   n_params=2, weights="2"), "weights", id="optimize-weights"),
+    pytest.param(lambda: optimize(lambda b: b), "beta0", id="optimize-no-beta0"),
+    pytest.param(lambda: optimize(lambda b: np.repeat(b, 2), [1.0], SolverConfig(
+        perturbation_rel=1e-20, perturbation_abs=1e-300)), "perturbation_rel",
+                 id="perturbation-lost-to-rounding"),
+    pytest.param(lambda: Parameters([0.0], lower=[np.nan]), "bounds", id="bounds-nan"),
+    pytest.param(lambda: Dataset(x=np.zeros((0, 1)), y=np.zeros(0)), "dataset",
+                 id="dataset-no-rows"),
+    pytest.param(lambda: Dataset(x=[[0.0]], y=[1.0], weights=[1.0, 1.0]), "weights",
+                 id="dataset-weights-length"),
+    pytest.param(lambda: PolynomialModel(degree=-1), "degree", id="negative-degree"),
     pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", beta0=[0, True]), "beta0",
                  id="runspec-beta0-bool"),
     # a degree only for the polynomial

@@ -6,19 +6,16 @@ each checkout and compares the results of each problem.
 
 In-process workloads (``corpus``, ``tall``, ``wide``) fit each problem
 through ``broydenfit.optimize`` and compare the two ``RunReport``s, every
-field and every iteration record, bit for bit.  Records are compared by
-field name, and ``condition`` is skipped: older checkouts have this
-``IterationRecord`` field, and a plain run leaves it None.  Each problem
-is also run through ``broydenfit.optimize_with_state``; its final secant
-state (a SHA-256 of ``broyden``, ``last_step`` and
+field and every iteration record, bit for bit, records by field name.
+Each problem is also run through ``broydenfit.optimize_with_state``; its
+final secant state (a SHA-256 of ``broyden``, ``last_step`` and
 ``last_residual_change``) is compared too.
 
 The ``external`` workload fits each problem end to end through
 ``broydenfit.cli.main``, with a ``serve-model`` child running the same
 checkout's package, in a temporary directory: once with ``-v`` writing the
 JSON report, once writing the csv-trace.  It compares the report files as
-JSON data (``json.load``, so key order does not matter; the ``condition``
-key of each record, always null, is dropped), and the csv-trace,
+JSON data (``json.load``, so key order does not matter), and the csv-trace,
 the ``-v`` lines, the summary line and the exit status byte for byte.
 
 Each problem's result also counts the WARNING records the package logged
@@ -87,7 +84,7 @@ def _report_data(report) -> dict:
         "evaluations": report.evaluation_count,
         "reason": report.failure_reason,
         "iterations": [{f.name: plain(getattr(rec, f.name))
-                        for f in dataclasses.fields(rec) if f.name != "condition"}
+                        for f in dataclasses.fields(rec)}
                        for rec in report.iterations],
     }
 
@@ -118,8 +115,6 @@ def _external_data(cli, p, workloads) -> dict:
                        + ["--out", trace_path, "--format", "csv"])
     with open(report_path) as fh:
         report = json.load(fh)
-    for rec in report["iterations"]:
-        rec.pop("condition", None)
     with open(trace_path, newline="") as fh:
         trace = fh.read()
     return {"status": report["status"], "beta": report["final_beta"]["values"],
