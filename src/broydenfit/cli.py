@@ -49,6 +49,19 @@ def _print_record(rec) -> None:
     )
 
 
+def _summarize(report) -> int:
+    """Print why a failed run stopped, then the summary line; return the exit code."""
+    if report.failure_reason:
+        print(f"error: {report.failure_reason}", file=sys.stderr)
+    print(
+        f"status={report.status.value} iterations={len(report.iterations)} "
+        f"objective={report.final_objective:.6e} "
+        f"evaluations={report.evaluation_count} "
+        f"beta={_format_beta(report.final_beta.values)}"
+    )
+    return STATUS_EXIT[report.status]
+
+
 def _load_setup(spec_path: str, spec: dataio.RunSpec | None = None) -> dataio.RunSetup:
     spec = dataio.load_runspec(spec_path) if spec is None else spec
     return dataio.prepare_run(spec, base_dir=os.path.dirname(os.path.abspath(spec_path)))
@@ -68,15 +81,7 @@ def cmd_fit(args) -> int:
     if args.out:
         fmt = "csv-trace" if args.format == "csv" else "json"
         dataio.write_report(report, args.out, format=fmt)
-    if report.failure_reason:
-        print(f"error: {report.failure_reason}", file=sys.stderr)
-    print(
-        f"status={report.status.value} iterations={len(report.iterations)} "
-        f"objective={report.final_objective:.6e} "
-        f"evaluations={report.evaluation_count} "
-        f"beta={_format_beta(report.final_beta.values)}"
-    )
-    return STATUS_EXIT[report.status]
+    return _summarize(report)
 
 
 def _discrepancy(diff: np.ndarray, ref: np.ndarray) -> float:
@@ -96,9 +101,9 @@ def cmd_check_jacobian(args) -> int:
             setup.weights,
             on_iteration=_print_record if args.verbose else None,
         )
+        code = _summarize(report)
         if report.status is RunStatus.EvaluatorFailure:
-            print(f"error: {report.failure_reason}", file=sys.stderr)
-            return 3
+            return code
         fd_config = fdiff.FdConfig(scheme=args.scheme)
         beta = report.final_beta
         # Probed outside the run, so through the run's residual check.
@@ -106,10 +111,6 @@ def cmd_check_jacobian(args) -> int:
                                 beta.lower, beta.upper)
 
     b = state.broyden
-    print(
-        f"status={report.status.value} iterations={len(report.iterations)} "
-        f"beta={_format_beta(report.final_beta.values)}"
-    )
     print(f"finite-difference scheme: {args.scheme} (matrix {jac.shape[0]}x{jac.shape[1]})")
     for j in range(jac.shape[1]):
         print(f"column {j}: discrepancy {_discrepancy(b[:, j] - jac[:, j], jac[:, j]):.6e}")

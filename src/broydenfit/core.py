@@ -389,11 +389,11 @@ class _SecantJacobian:
     def refresh(self, ev: ResidualEvaluator, x: np.ndarray, box: Parameters,
                 fd_config: "fdiff.FdConfig | None") -> None:
         """Rebuild B in place by finite differences at ``x`` in ``box``, and its
-        Gram matrix, and drop the pending pair.  An :class:`EvaluatorFailure`
-        propagates and leaves B half-written, so B is None: :meth:`state` has none."""
+        Gram matrix, and drop the pending and last pairs, which B need not satisfy.
+        A probe's :class:`EvaluatorFailure` propagates; B, half-written, is None."""
         b, self.b = self.b, None
         self.b = fdiff.fd_jacobian(ev, x, fd_config, box.lower, box.upper, out=b)
-        self.gram, self.pending = gram_matrix(self.b), None
+        self.gram, self.pending, self.last = gram_matrix(self.b), None, (None, None)
 
     @np.errstate(over="ignore", invalid="ignore")
     def state(self) -> SolverState:

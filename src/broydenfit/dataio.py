@@ -144,21 +144,16 @@ class RunSpec:
     weights: str | float = "none"
 
     def __post_init__(self):
-        check_fields(self)
-        weights = self.weights
-        checks = [
-            ("dataset", (self.dataset is None) == self.is_external,
+        check_fields(self, lambda s: [
+            ("dataset", (s.dataset is None) == s.is_external,
              "an analytic model needs a dataset; an external one embeds its data"),
-            ("n_params", self.n_params is None or self.n_params >= 1,
+            ("n_params", s.n_params is None or s.n_params >= 1,
              "n_params must be a positive integer"),
-            ("weights", weights in ("none", "column") if isinstance(weights, str)
-             else weights > 0, "weights must be 'none', 'column' or {'uniform': w > 0}"),
-            ("weights", weights != "column" or not self.is_external,
+            ("weights", s.weights in ("none", "column") if isinstance(s.weights, str)
+             else s.weights > 0, "weights must be 'none', 'column' or {'uniform': w > 0}"),
+            ("weights", s.weights != "column" or not s.is_external,
              "weights='column' requires a dataset"),
-        ]
-        for key, ok, message in checks:
-            if not ok:
-                raise ConfigError(message, key=key)
+        ])
 
     @property
     def is_external(self) -> bool:

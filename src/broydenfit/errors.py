@@ -1,5 +1,5 @@
 """Exception types shared across the package, the residual contract, and
-the field-type contract of the configuration records."""
+the field contract of the configuration records: types, then value rules."""
 
 from __future__ import annotations
 
@@ -128,15 +128,21 @@ def _field_types(cls) -> list[tuple[str, tuple]]:
     return [(f.name, types[f.name]) for f in dataclasses.fields(cls)]
 
 
-def check_fields(record) -> None:
+def check_fields(record, rules=None) -> None:
     """Check each field of the dataclass ``record`` against its annotation
     with :func:`check_type`, keyed by the field's name, and store the value
-    as checked."""
+    as checked.  Then build the value rules ``rules(record)``, each ``(key, ok)``
+    or ``(key, ok, message)``: the first false ``ok`` raises :class:`ConfigError`
+    naming ``key``, with ``message`` or one quoting the field's value."""
     for name, types in _field_types(type(record)):
         value = getattr(record, name)
         stored = check_type(value, types, name)
         if stored is not value:
             object.__setattr__(record, name, stored)
+    for key, ok, *message in rules(record) if rules else ():
+        if not ok:
+            default = f"invalid value for {key}: {getattr(record, key)!r}"
+            raise ConfigError(message[0] if message else default, key=key)
 
 
 class SingularSystem(BroydenFitError):

@@ -54,12 +54,11 @@ class ExternalEvaluatorSpec:
     timeout: float = 3600.0
 
     def __post_init__(self):
-        check_fields(self)
-        if not self.command:
-            raise ConfigError("external evaluator command must be non-empty", key="command")
-        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
-            raise ConfigError(f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s",
-                              key="timeout")
+        check_fields(self, lambda c: [
+            ("command", bool(c.command), "external evaluator command must be non-empty"),
+            ("timeout", 0 < c.timeout <= threading.TIMEOUT_MAX,
+             f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s"),
+        ])
 
 
 def encode_request(req_id: int, params) -> str:
@@ -92,14 +91,19 @@ def _malformed(message: str, line: str) -> EvaluatorFailure:
     return EvaluatorFailure(f"{message}: {_quote(line)}", category="malformed_response")
 
 
+def _is_int(value, expected: int) -> bool:
+    """``value == expected`` for a JSON integer only: ``True == 1 == 1.0`` in Python."""
+    return type(value) is int and value == expected
+
+
 def _decode_response(line: str, expect_id: int) -> np.ndarray:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # too deep, too many digits
         raise _malformed("response is not valid JSON", line) from exc
-    if not isinstance(obj, dict) or obj.get("v") != PROTOCOL_VERSION:
+    if not isinstance(obj, dict) or not _is_int(obj.get("v"), PROTOCOL_VERSION):
         raise _malformed("response missing protocol version 1", line)
-    if obj.get("id") != expect_id:
+    if not _is_int(obj.get("id"), expect_id):
         raise _malformed(f"response id does not echo request id {expect_id}", line)
     if "error" in obj:
         error = obj["error"]
@@ -125,11 +129,21 @@ def _decode_response(line: str, expect_id: int) -> np.ndarray:
     raise _malformed("response carries no residual list", line)
 
 
+def _pump(stream, lines: queue.Queue):
+    """Put each line of ``stream`` on ``lines``, then None.  The reader closes the
+    stream at end of file: another thread's close would block behind a read."""
+    with stream:
+        for line in stream:
+            lines.put(line)
+    lines.put(None)
+
+
 class ExternalEvaluator:
     """Residual evaluator backed by one long-lived child process.
 
     The process is spawned lazily on the first call and owned exclusively by
-    this instance; close() (or use as a context manager) terminates it.
+    this instance; close() (or use as a context manager) terminates it, and
+    the next call after close() spawns a fresh child.
     Once a call has failed hard (death, timeout), subsequent calls fail
     immediately rather than respawning: mid-run restarts would silently
     discard whatever state the evaluator had built up.
@@ -139,7 +153,7 @@ class ExternalEvaluator:
         self.spec = spec
         self._proc: subprocess.Popen | None = None
         self._reader: threading.Thread | None = None
-        self._lines: queue.Queue = queue.Queue()
+        self._lines: queue.Queue | None = None
         self._next_id = 0
         self._m: int | None = None
         self._dead: str | None = None
@@ -158,17 +172,11 @@ class ExternalEvaluator:
             self._dead = f"could not start {self.spec.command[0]!r}: {exc}"
             raise EvaluatorFailure(self._dead, category="spawn") from exc
         # Reader thread decouples blocking pipe reads from the timeout logic.
-        self._reader = threading.Thread(target=self._pump, args=(self._proc.stdout,),
-                                        daemon=True)
+        # A queue per child: an earlier child's end-of-file None is not this one's.
+        self._lines = queue.Queue()
+        self._reader = threading.Thread(target=_pump, daemon=True,
+                                        args=(self._proc.stdout, self._lines))
         self._reader.start()
-
-    def _pump(self, stream):
-        # The reader owns the stream and closes it at end of file: closing it
-        # from another thread would block behind a pending read.
-        with stream:
-            for line in stream:
-                self._lines.put(line)
-        self._lines.put(None)
 
     def _fail(self, message: str, category: str):
         self._dead = message
@@ -213,10 +221,8 @@ class ExternalEvaluator:
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        try:
+        with contextlib.suppress(OSError):
             proc.stdin.close()
-        except OSError:
-            pass
         try:
             proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
@@ -256,7 +262,7 @@ def serve(evaluate, stdin, stdout) -> None:
             obj = json.loads(line)
             if isinstance(obj, dict) and type(obj.get("id")) is int:  # not a bool
                 req_id = obj["id"]
-            if not isinstance(obj, dict) or obj.get("v") != PROTOCOL_VERSION:
+            if not isinstance(obj, dict) or not _is_int(obj.get("v"), PROTOCOL_VERSION):
                 raise ValueError("missing protocol version 1")
             params = check_type(obj.get("params"), (np.ndarray,), "params")
             if params.ndim != 1 or not np.isfinite(params).all():

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorFailure, check_fields
+from .errors import EvaluatorFailure, check_fields
 
 SCHEMES = ("central", "forward")
 
@@ -30,12 +30,8 @@ class FdConfig:
     h_abs: float = 1e-8
 
     def __post_init__(self):
-        check_fields(self)
-        for key, ok in (("scheme", self.scheme in SCHEMES), ("h_rel", self.h_rel > 0),
-                        ("h_abs", self.h_abs > 0)):
-            if not ok:
-                raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}",
-                                  key=key)
+        check_fields(self, lambda c: [
+            ("scheme", c.scheme in SCHEMES), ("h_rel", c.h_rel > 0), ("h_abs", c.h_abs > 0)])
 
     def step(self, beta):
         """The step of each coordinate of ``beta`` (a float or an array)."""

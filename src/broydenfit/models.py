@@ -100,9 +100,8 @@ class PolynomialModel(AnalyticModel):
     kind = "polynomial"
 
     def __post_init__(self):
-        check_fields(self)
-        if self.degree < 0:
-            raise ConfigError("polynomial degree must be >= 0", key="degree")
+        check_fields(self, lambda c: [("degree", c.degree >= 0,
+                                       "polynomial degree must be >= 0")])
 
     def param_count(self, d: int) -> int:
         return self.degree + 1

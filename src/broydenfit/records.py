@@ -124,24 +124,18 @@ class SolverConfig:
     fd_refresh_period: int | None = None
 
     def __post_init__(self):
-        check_fields(self)
-        checks = [
-            ("epsilon", self.epsilon > 0),
-            ("armijo_c", 0 < self.armijo_c < 1),
-            ("alpha_min", 0 < self.alpha_min <= 1),
-            ("lambda_init", self.lambda_init >= 0),
-            ("lambda_decrease", 0 < self.lambda_decrease < 1),
-            ("lambda_increase", self.lambda_increase > 1),
-            ("perturbation_rel", self.perturbation_rel > 0),
-            ("perturbation_abs", self.perturbation_abs > 0),
-            ("max_iterations", self.max_iterations >= 2),
-            ("fd_refresh_period",
-             self.fd_refresh_period is None or self.fd_refresh_period >= 1),
-        ]
-        for key, ok in checks:
-            if not ok:
-                raise ConfigError(f"invalid value for {key}: {getattr(self, key)!r}",
-                                  key=key)
+        check_fields(self, lambda c: [
+            ("epsilon", c.epsilon > 0),
+            ("armijo_c", 0 < c.armijo_c < 1),
+            ("alpha_min", 0 < c.alpha_min <= 1),
+            ("lambda_init", c.lambda_init >= 0),
+            ("lambda_decrease", 0 < c.lambda_decrease < 1),
+            ("lambda_increase", c.lambda_increase > 1),
+            ("perturbation_rel", c.perturbation_rel > 0),
+            ("perturbation_abs", c.perturbation_abs > 0),
+            ("max_iterations", c.max_iterations >= 2),
+            ("fd_refresh_period", c.fd_refresh_period is None or c.fd_refresh_period >= 1),
+        ])
 
 
 class RunStatus(enum.Enum):
@@ -189,7 +183,8 @@ class SolverState:
     """Internal state snapshot returned by :func:`~broydenfit.core.optimize_with_state`.
 
     ``broyden`` has absorbed the run's final step pair too, and
-    ``last_step``/``last_residual_change`` is the last pair it absorbed, so
+    ``last_step``/``last_residual_change`` is the last pair it absorbed since
+    its last rebuild by finite differences (None if none), so
     ``broyden @ last_step`` reproduces ``last_residual_change`` to round-off.
     """
 

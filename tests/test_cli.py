@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -161,6 +162,24 @@ def test_check_jacobian_non_finite_probe_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["check-jacobian", "--spec", str(make_spec(tmp_path))]) == 3
     assert capsys.readouterr().err == ("error [non_finite]: probe for column 0 failed: "
                                        "non-finite residual at index 1\n")
+
+
+def test_check_jacobian_says_why_the_fit_stopped(tmp_path, monkeypatch, capsys):
+    # A fit that ends on the floor still gets its table, after the reason.
+    fit = core.optimize_with_state
+
+    def floored(*args, **kwargs):
+        report, state = fit(*args, **kwargs)
+        return dataclasses.replace(report, status=RunStatus.LineSearchFloor,
+                                   failure_reason="iteration 3: floor"), state
+
+    monkeypatch.setattr(core, "optimize_with_state", floored)
+    assert main(["check-jacobian", "--spec", str(make_spec(tmp_path))]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "error: iteration 3: floor\n"
+    summary, *table = captured.out.splitlines()
+    assert summary.startswith("status=LineSearchFloor iterations=")
+    assert " evaluations=" in summary and table[-2].startswith("frobenius: ")
 
 
 def test_serve_model_subprocess_session(tmp_path):

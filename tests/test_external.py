@@ -20,6 +20,8 @@ from broydenfit import (
     ExponentialDecayModel,
     ExternalEvaluatorSpec,
     LinearModel,
+    RunStatus,
+    optimize,
 )
 from broydenfit.core import _CountingEvaluator
 from broydenfit.external import _decode_response, encode_request, encode_response, serve
@@ -32,6 +34,15 @@ import json, sys
 for line in sys.stdin:
     req = json.loads(line)
     print(json.dumps({"v": 1, "id": req["id"], "residuals": req["params"]}), flush=True)
+"""
+
+# residuals params - 3, so a fit converges at all 3 in a few calls
+SHIFT_CHILD = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    r = [p - 3.0 for p in req["params"]]
+    print(json.dumps({"v": 1, "id": req["id"], "residuals": r}), flush=True)
 """
 
 DIE_CHILD = "import sys; sys.exit(3)"
@@ -159,6 +170,21 @@ def test_close_leaves_no_pipe_open(script, timeout, fails):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
+def test_each_with_block_starts_a_fresh_child():
+    # The first child's end of file must not become the second child's reply.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ev, reports = ExternalEvaluator(child(SHIFT_CHILD)), []
+        for _ in range(2):
+            with ev:
+                reports.append(optimize(ev, [1.0, 2.0]))
+        del ev
+        gc.collect()
+    assert reports[0].status is RunStatus.Converged
+    assert reports[1] == reports[0]
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_garbage_line_is_malformed():
     with ExternalEvaluator(child(GARBAGE_CHILD)) as ev:
         with pytest.raises(EvaluatorFailure) as err:
@@ -171,6 +197,21 @@ def test_wrong_id_echo_is_malformed():
         with pytest.raises(EvaluatorFailure) as err:
             ev(np.array([1.0]))
         assert err.value.category == "malformed_response"
+
+
+# In Python True == 1 and 0.0 == 0, but the wire carries JSON integers only.
+@pytest.mark.parametrize("v, req_id, expect_id, message", [
+    (1, True, 1, "response id does not echo request id 1"),
+    (1, False, 0, "response id does not echo request id 0"),
+    (1, 0.0, 0, "response id does not echo request id 0"),
+    (True, 1, 1, "response missing protocol version 1"),
+    (1.0, 0, 0, "response missing protocol version 1"),
+], ids=["id_true", "id_false", "id_float", "v_true", "v_float"])
+def test_a_non_integer_id_or_version_is_malformed(v, req_id, expect_id, message):
+    with pytest.raises(EvaluatorFailure) as err:
+        _decode_response(json.dumps({"v": v, "id": req_id, "residuals": [0.5]}), expect_id)
+    assert err.value.category == "malformed_response"
+    assert str(err.value).startswith(message + ": ")
 
 
 def test_length_change_is_enforced():
@@ -310,8 +351,11 @@ def test_serve_echoes_id_when_parseable():
 
 
 def test_serve_wrong_version_rejected():
-    replies = run_serve('{"v":2,"id":5,"params":[0,0]}\n')
-    assert "error" in replies[0]
+    # true and 1.0 equal 1 in Python, but are no JSON integer
+    replies = run_serve("".join(f'{{"v":{v},"id":5,"params":[0,0]}}\n'
+                                for v in ("2", "true", "1.0")))
+    error = "bad request: missing protocol version 1"
+    assert replies == 3 * [{"v": 1, "id": 5, "error": error}]
 
 
 def test_serve_model_error_keeps_serving():

@@ -466,6 +466,32 @@ def test_state_secant_pair_is_absorbed():
     assert num / den <= 1e-6
 
 
+def test_a_rebuild_drops_the_last_pair():
+    # Iteration 2 rebuilds B by finite differences, then every evaluation
+    # fails: B absorbs no pair after the rebuild, so the state reports none
+    # rather than the bootstrap pair, which the rebuilt B does not satisfy.
+    exact = DatasetEvaluator(ExponentialDecayModel(), decay_dataset())
+    calls, limit = [], [np.inf]
+
+    def evaluate(beta):
+        if len(calls) >= limit[0]:
+            raise EvaluatorFailure("down")
+        calls.append(1)
+        return exact(beta)
+
+    def after(rec):
+        if rec.k == 1:
+            limit[0] = len(calls) + 4  # the rebuild's central probes
+
+    report, state = optimize_with_state(evaluate, n_params=2, on_iteration=after,
+                                        config=SolverConfig(fd_refresh_period=2))
+    assert report.status is RunStatus.EvaluatorFailure
+    assert report.failure_reason == ("iteration 2: every line-search trial failed to "
+                                     "evaluate: down")
+    assert state.broyden is not None
+    assert state.last_step is None and state.last_residual_change is None
+
+
 def _multi_block_linear_problem():
     # m = 20000 rows and n = 8 parameters, two row blocks of the secant pass
     # (16384 and 3616 rows); the fit takes 15 iterations, so the driver

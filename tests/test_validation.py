@@ -8,6 +8,7 @@ checked by the same rules, and a malformed report is a :class:`ParseError`.
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +103,83 @@ def test_wrong_types_raise_config_error_naming_the_key(build, key):
         build()
     assert err.value.key == key
     assert key in str(err.value)
+
+
+_EXT = ExternalEvaluatorSpec(command=["prog"])
+_RUNSPEC_WEIGHTS = "weights must be 'none', 'column' or {'uniform': w > 0}"
+_NO_DATASET = "an analytic model needs a dataset; an external one embeds its data"
+_TIMEOUT = f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s"
+
+
+# Each value rule of the five configuration records, and a wrongly typed value
+# of each, which fails the type pass before any rule is built.  The value a
+# message quotes is the one stored, so an int in a float field quotes as a float.
+@pytest.mark.parametrize("build, key, message", [
+    pytest.param(lambda: SolverConfig(epsilon=0), "epsilon",
+                 "invalid value for epsilon: 0.0", id="solver-epsilon"),
+    pytest.param(lambda: SolverConfig(epsilon=math.nan), "epsilon",
+                 "invalid value for epsilon: nan", id="solver-epsilon-nan"),
+    pytest.param(lambda: SolverConfig(armijo_c=1.0), "armijo_c",
+                 "invalid value for armijo_c: 1.0", id="solver-armijo_c"),
+    pytest.param(lambda: SolverConfig(alpha_min=1.5), "alpha_min",
+                 "invalid value for alpha_min: 1.5", id="solver-alpha_min"),
+    pytest.param(lambda: SolverConfig(lambda_init=-1e-300), "lambda_init",
+                 "invalid value for lambda_init: -1e-300", id="solver-lambda_init"),
+    pytest.param(lambda: SolverConfig(lambda_decrease=1.0), "lambda_decrease",
+                 "invalid value for lambda_decrease: 1.0", id="solver-lambda_decrease"),
+    pytest.param(lambda: SolverConfig(lambda_increase=1.0), "lambda_increase",
+                 "invalid value for lambda_increase: 1.0", id="solver-lambda_increase"),
+    pytest.param(lambda: SolverConfig(perturbation_rel=0.0), "perturbation_rel",
+                 "invalid value for perturbation_rel: 0.0", id="solver-perturbation_rel"),
+    pytest.param(lambda: SolverConfig(perturbation_abs=-0.01), "perturbation_abs",
+                 "invalid value for perturbation_abs: -0.01", id="solver-perturbation_abs"),
+    pytest.param(lambda: SolverConfig(max_iterations=1), "max_iterations",
+                 "invalid value for max_iterations: 1", id="solver-max_iterations"),
+    pytest.param(lambda: SolverConfig(fd_refresh_period=0), "fd_refresh_period",
+                 "invalid value for fd_refresh_period: 0", id="solver-fd_refresh_period"),
+    pytest.param(lambda: SolverConfig(epsilon=-1.0, max_iterations=0), "epsilon",
+                 "invalid value for epsilon: -1.0", id="solver-first-rule-wins"),
+    pytest.param(lambda: SolverConfig(epsilon="x"), "epsilon",
+                 "epsilon must be a number, got 'x'", id="solver-type"),
+    pytest.param(lambda: FdConfig(scheme="backward"), "scheme",
+                 "invalid value for scheme: 'backward'", id="fd-scheme"),
+    pytest.param(lambda: FdConfig(h_rel=0.0), "h_rel",
+                 "invalid value for h_rel: 0.0", id="fd-h_rel"),
+    pytest.param(lambda: FdConfig(h_abs=-1e-8), "h_abs",
+                 "invalid value for h_abs: -1e-08", id="fd-h_abs"),
+    pytest.param(lambda: FdConfig(h_abs=None), "h_abs",
+                 "h_abs must be a number, got None", id="fd-type"),
+    pytest.param(lambda: ExternalEvaluatorSpec(command=[]), "command",
+                 "external evaluator command must be non-empty", id="external-command"),
+    pytest.param(lambda: ExternalEvaluatorSpec(command=["prog"], timeout=0), "timeout",
+                 _TIMEOUT, id="external-timeout"),
+    pytest.param(lambda: ExternalEvaluatorSpec(command=["prog"], timeout=1e300), "timeout",
+                 _TIMEOUT, id="external-timeout-max"),
+    pytest.param(lambda: ExternalEvaluatorSpec(command=["prog"], timeout="x"), "timeout",
+                 "timeout must be a number, got 'x'", id="external-type"),
+    pytest.param(lambda: PolynomialModel(degree=-1), "degree",
+                 "polynomial degree must be >= 0", id="polynomial-degree"),
+    pytest.param(lambda: PolynomialModel(degree=1.5), "degree",
+                 "degree must be an integer, got 1.5", id="polynomial-type"),
+    pytest.param(lambda: RunSpec(LinearModel()), "dataset", _NO_DATASET,
+                 id="runspec-analytic-no-dataset"),
+    pytest.param(lambda: RunSpec(_EXT, dataset="d.csv"), "dataset", _NO_DATASET,
+                 id="runspec-external-dataset"),
+    pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", n_params=0), "n_params",
+                 "n_params must be a positive integer", id="runspec-n_params"),
+    pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", weights="all"), "weights",
+                 _RUNSPEC_WEIGHTS, id="runspec-weights-name"),
+    pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", weights=0), "weights",
+                 _RUNSPEC_WEIGHTS, id="runspec-weights-uniform"),
+    pytest.param(lambda: RunSpec(_EXT, n_params=1, weights="column"), "weights",
+                 "weights='column' requires a dataset", id="runspec-weights-column"),
+    pytest.param(lambda: RunSpec(LinearModel(), dataset="d.csv", solver={}), "solver",
+                 "solver must be SolverConfig, got {}", id="runspec-type"),
+])
+def test_each_value_rule_names_its_key_and_message(build, key, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert (err.value.key, str(err.value)) == (key, message)
 
 
 def test_records_store_the_annotated_types():
