@@ -68,9 +68,11 @@ def _load_setup(spec_path: str, spec: dataio.RunSpec | None = None) -> dataio.Ru
 
 
 def cmd_fit(args) -> int:
-    from .core import optimize  # the solver and scipy: only commands that fit load them
-
     with _load_setup(args.spec) as setup:
+        # The solver and scipy: only commands that fit load them, and only
+        # once an external child is starting, so its boot overlaps the import.
+        from .core import optimize
+
         report = optimize(
             setup.evaluate,
             setup.beta0,
@@ -91,9 +93,9 @@ def _discrepancy(diff: np.ndarray, ref: np.ndarray) -> float:
 
 
 def cmd_check_jacobian(args) -> int:
-    from .core import _CountingEvaluator, optimize_with_state
-
     with _load_setup(args.spec) as setup:
+        from .core import _CountingEvaluator, optimize_with_state  # as in cmd_fit
+
         report, state = optimize_with_state(
             setup.evaluate,
             setup.beta0,

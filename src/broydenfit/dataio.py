@@ -237,6 +237,8 @@ class RunSetup:
             self.evaluate.close()
 
     def __enter__(self) -> "RunSetup":
+        if isinstance(self.evaluate, ExternalEvaluator):
+            self.evaluate.start()  # the child boots while the caller loads the solver
         return self
 
     def __exit__(self, *exc_info):

@@ -141,12 +141,12 @@ def _pump(stream, lines: queue.Queue):
 class ExternalEvaluator:
     """Residual evaluator backed by one long-lived child process.
 
-    The process is spawned lazily on the first call and owned exclusively by
-    this instance; close() (or use as a context manager) terminates it, and
-    the next call after close() spawns a fresh child.
-    Once a call has failed hard (death, timeout), subsequent calls fail
-    immediately rather than respawning: mid-run restarts would silently
-    discard whatever state the evaluator had built up.
+    The process is spawned by start(), or lazily on the first call, and owned
+    exclusively by this instance; close() (or use as a context manager)
+    terminates it, and the next start() or call after close() spawns a fresh
+    child.  Once a call has failed hard (death, timeout), subsequent calls
+    fail immediately rather than respawning, until close(): mid-run restarts
+    would silently discard whatever state the evaluator had built up.
     """
 
     def __init__(self, spec: ExternalEvaluatorSpec):
@@ -178,9 +178,22 @@ class ExternalEvaluator:
                                         args=(self._proc.stdout, self._lines))
         self._reader.start()
 
+    def start(self):
+        """Spawn the child now, so it boots while the caller does other work.
+
+        Does nothing when a child is running or a hard failure is recorded.
+        Never raises: a failed spawn leaves the evaluator unspawned, and the
+        first call retries it and raises the failure.
+        """
+        if self._proc is None and self._dead is None:
+            try:
+                self._spawn()
+            except EvaluatorFailure:
+                self._dead = None  # the first call retries the spawn and raises
+
     def _fail(self, message: str, category: str):
-        self._dead = message
         self.close(grace=0.0)
+        self._dead = message
         raise EvaluatorFailure(message, category=category)
 
     def __call__(self, beta) -> np.ndarray:
@@ -197,14 +210,17 @@ class ExternalEvaluator:
             self._proc.stdin.write(encode_request(req_id, beta) + "\n")
             self._proc.stdin.flush()
         except OSError:
-            self._fail("evaluator process closed its input pipe",
-                       category="process_died")
-        try:
-            line = self._lines.get(timeout=self.spec.timeout)
-        except queue.Empty:
-            self._fail(
-                f"no response within {self.spec.timeout} s", category="timeout"
-            )
+            if self._proc.poll() is None:
+                self._fail("evaluator process closed its input pipe",
+                           category="process_died")
+            line = None  # it exited unread: the same report as unanswered
+        else:
+            try:
+                line = self._lines.get(timeout=self.spec.timeout)
+            except queue.Empty:
+                self._fail(
+                    f"no response within {self.spec.timeout} s", category="timeout"
+                )
         if line is None:
             self._fail("evaluator process exited before responding",
                        category="process_died")
@@ -216,8 +232,10 @@ class ExternalEvaluator:
         """Close the child's input; kill it if it is still up after ``grace`` s.
 
         Then wait (at most ``READER_JOIN_SECONDS``) for the reader thread to
-        drain and close the child's output.
+        drain and close the child's output.  A recorded hard failure is
+        cleared, so the next start() or call spawns a fresh child.
         """
+        self._dead = None
         proc, self._proc = self._proc, None
         if proc is None:
             return

@@ -98,6 +98,23 @@ def test_check_jacobian_dead_external_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bootstrap: ")
 
 
+def test_fit_missing_external_binary_exits_3(tmp_path, capsys):
+    # The child is started before the first call; a failed start is the
+    # first call's failure, as when the call spawned it.
+    spec = tmp_path / "run.json"
+    spec.write_text(json.dumps({"model": {"command": ["/no/such/binary-here"]},
+                                "n_params": 2}))
+    out_path = tmp_path / "report.json"
+    assert main(["fit", "--spec", str(spec), "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert "status=EvaluatorFailure" in captured.out
+    reason = "bootstrap: could not start '/no/such/binary-here': "
+    assert captured.err.startswith(f"error: {reason}")
+    report = read_report(out_path)
+    assert report.failure_reason.startswith(reason)
+    assert report.evaluation_count == 1
+
+
 def test_fit_verbose_prints_iterations(tmp_path, capsys):
     code = main(["fit", "--spec", str(make_spec(tmp_path)), "-v"])
     captured = capsys.readouterr()

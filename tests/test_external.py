@@ -47,6 +47,14 @@ for line in sys.stdin:
 
 DIE_CHILD = "import sys; sys.exit(3)"
 
+# Answers its first request with [1.0], then exits on the second.
+DIE_ON_SECOND_CHILD = """
+import json, sys
+req = json.loads(sys.stdin.readline())
+print(json.dumps({"v": 1, "id": req["id"], "residuals": [1.0]}), flush=True)
+sys.stdin.readline()
+"""
+
 SLEEP_CHILD = """
 import sys, time
 sys.stdin.readline()
@@ -183,6 +191,78 @@ def test_each_with_block_starts_a_fresh_child():
     assert reports[0].status is RunStatus.Converged
     assert reports[1] == reports[0]
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_a_new_with_block_starts_a_child_after_a_hard_failure():
+    ev = ExternalEvaluator(child(DIE_ON_SECOND_CHILD))
+    with ev:
+        assert np.array_equal(ev(np.array([1.0])), [1.0])
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert err.value.category == "process_died"
+        assert str(err.value) == "evaluator process exited before responding"
+        with pytest.raises(EvaluatorFailure, match="unavailable after earlier failure"):
+            ev(np.array([1.0]))
+    with ev:
+        assert np.array_equal(ev(np.array([1.0])), [1.0])
+
+
+def test_start_twice_spawns_one_child():
+    with ExternalEvaluator(child(ECHO_CHILD)) as ev:
+        spawns, spawn = [], ev._spawn
+        ev._spawn = lambda: spawns.append(spawn())
+        ev.start()
+        ev.start()
+        assert np.array_equal(ev(np.array([2.0])), [2.0])
+        assert len(spawns) == 1
+
+
+def test_start_then_close_leaves_no_pipe_open():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ev = ExternalEvaluator(child(ECHO_CHILD))
+        ev.start()
+        ev.close()
+        assert ev._proc is None and not ev._reader.is_alive()
+        del ev
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_start_after_close_spawns_a_fresh_child():
+    with ExternalEvaluator(child(ECHO_CHILD)) as ev:
+        ev.start()
+        first = ev._proc
+        ev.close()
+        ev.start()
+        assert ev._proc is not None and ev._proc.pid != first.pid
+        assert np.array_equal(ev(np.array([5.0])), [5.0])
+
+
+def test_start_leaves_a_failed_spawn_to_the_first_call():
+    spec = ExternalEvaluatorSpec(command=("/no/such/binary-here",), timeout=1.0)
+    with pytest.raises(EvaluatorFailure) as lazy:
+        ExternalEvaluator(spec)(np.array([1.0]))
+    ev = ExternalEvaluator(spec)
+    ev.start()  # does not raise
+    assert ev._proc is None
+    with pytest.raises(EvaluatorFailure) as err:
+        ev(np.array([1.0]))
+    assert err.value.category == "spawn"
+    assert str(err.value) == str(lazy.value)
+    assert str(err.value).startswith("could not start '/no/such/binary-here': ")
+
+
+def test_a_child_that_exited_before_the_first_request_died():
+    # Its input pipe is closed by then, yet the reason is the one a child
+    # that exits after reading the request gets.
+    with ExternalEvaluator(child("import sys; sys.exit(1)")) as ev:
+        ev.start()
+        ev._proc.wait(timeout=30)
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert err.value.category == "process_died"
+        assert str(err.value) == "evaluator process exited before responding"
 
 
 def test_garbage_line_is_malformed():
