@@ -27,8 +27,9 @@ between, the secant updates carry it.
 A secant matrix can stop giving descent directions.  After
 ``STALL_REFRESH_REJECTIONS`` (2) rejected line searches in a row, the next
 iteration rebuilds B in place by finite differences (MINPACK ``hybrd``'s
-rule; 2n evaluations with the default central scheme) instead of absorbing
-the pair.  A run that never rejects twice in a row never rebuilds.
+rule) instead of absorbing the pair.  By default a rebuild is a forward one
+that reuses the residuals at the iterate (MINPACK ``fdjac2``): n evaluations.
+A run that never rejects twice in a row never rebuilds.
 
 Weights enter once, at the residual boundary: the run's evaluator returns
 whitened residuals ``sqrt(w) * r``, whose plain least-squares problem is the
@@ -80,6 +81,10 @@ STAGNANT_SNORM2 = 1e-30
 # After this many rejected line searches in a row, the driver rebuilds B by
 # finite differences before the next solve (MINPACK hybrd's stall rule).
 STALL_REFRESH_REJECTIONS = 2
+
+# The driver's rebuilds of B when a run gives no fd_config (MINPACK fdjac2's):
+# forward differences from the residuals in hand, n evaluations.
+FORWARD_FD = fdiff.FdConfig(scheme="forward")
 
 # broyden_update's row blocks: about this many elements (1 MB, within a core's L2
 # cache), in whole multiples of 64 rows, which keep each row of B s unchanged.
@@ -386,13 +391,15 @@ class _SecantJacobian:
             self.gram = gram_matrix(self.b)
         return rhs
 
-    def refresh(self, ev: ResidualEvaluator, x: np.ndarray, box: Parameters,
+    def refresh(self, ev: ResidualEvaluator, x: np.ndarray, r: np.ndarray, box: Parameters,
                 fd_config: "fdiff.FdConfig | None") -> None:
-        """Rebuild B in place by finite differences at ``x`` in ``box``, and its
-        Gram matrix, and drop the pending and last pairs, which B need not satisfy.
-        A probe's :class:`EvaluatorFailure` propagates; B, half-written, is None."""
+        """Rebuild B and its Gram matrix in place by finite differences at ``x`` in
+        ``box`` (a forward build reuses ``r``, the residuals there), and drop the pending
+        and last pairs, which B need not satisfy.  A probe's
+        :class:`EvaluatorFailure` propagates; B, half-written, is None."""
         b, self.b = self.b, None
-        self.b = fdiff.fd_jacobian(ev, x, fd_config, box.lower, box.upper, out=b)
+        self.b = fdiff.fd_jacobian(ev, x, fd_config or FORWARD_FD, box.lower, box.upper,
+                                   out=b, base=r)
         self.gram, self.pending, self.last = gram_matrix(self.b), None, (None, None)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -467,8 +474,8 @@ def optimize(
     convergence test on the projected direction.  After two rejected line
     searches in a row, and every ``fd_refresh_period`` iterations when the
     config sets it, the secant matrix is replaced by a finite-difference
-    Jacobian probed inside the box (``fd_config`` controls scheme and step
-    sizes).
+    Jacobian probed inside the box: by ``fd_config``'s scheme and steps, or
+    else forward from the residuals at the iterate, n evaluations.
 
     Returns a :class:`RunReport`: ``Converged``, ``MaxIterations``,
     ``EvaluatorFailure`` (raised by an evaluation or by ``on_iteration``) or
@@ -550,7 +557,7 @@ def _optimize(
                 if stalled:
                     logger.debug("iteration %d: %d rejected line searches in a row, "
                                  "rebuilding B by finite differences", k, rejections)
-                jac.refresh(ev, x, beta, fd_config)
+                jac.refresh(ev, x, r, beta, fd_config)
                 rhs, rejections = None, 0
             else:
                 rhs = jac.absorb(r, k)

@@ -2,7 +2,8 @@
 
 The Jacobian routine is the reference the secant approximation is compared
 against (``check-jacobian``) and the source of the driver's rebuilds of
-it, after a stall or periodic.  It works on plain arrays and a residual-evaluator callable.
+it, after a stall or periodic, by default forward from the residuals in hand
+(n evaluations).  It works on plain arrays and a residual-evaluator callable.
 """
 
 from __future__ import annotations
@@ -45,15 +46,17 @@ def fd_jacobian(
     lower: Sequence[float] | None = None,
     upper: Sequence[float] | None = None,
     out: np.ndarray | None = None,
+    base: np.ndarray | None = None,
 ) -> np.ndarray:
     """Column-wise finite-difference residual Jacobian at ``beta``.
 
     Central differencing costs two evaluations per column, forward one plus
-    a shared base evaluation.  Every probe stays inside the box ``lower`` <=
-    ``beta`` <= ``upper`` (unbounded when None): a central probe is clipped
-    to it, and a forward probe that would leave it goes to the other side if
-    that has more room.  The actually-applied step (after rounding of
-    ``beta_j + h`` and the clip) is used in the quotient.
+    a shared base evaluation, skipped when ``base`` gives the residuals at
+    ``beta`` (the central scheme ignores it).  Every probe stays inside the
+    box ``lower`` <= ``beta`` <= ``upper`` (unbounded when None): a central
+    probe is clipped to it, and a forward probe that would leave it goes to
+    the other side if that has more room.  The actually-applied step (after
+    rounding of ``beta_j + h`` and the clip) is used in the quotient.
 
     Each column is written into ``out``, an (m, n) float64 array, as soon as
     it is probed; without ``out`` the array is allocated after the first
@@ -67,10 +70,12 @@ def fd_jacobian(
     # Every step and probe coordinate at once, so the loop only evaluates.  The bounds
     # come first: on a tie (0.0 against -0.0) numpy's maximum and minimum return
     # their second argument, here the probe's own.
-    h, base = config.step(beta), None
+    h = config.step(beta)
     if config.scheme == "forward":
-        base = np.asarray(evaluate(beta.copy()), dtype=float)
+        base = np.asarray(evaluate(beta.copy()) if base is None else base, dtype=float)
         h = np.where((beta + h > hi) & (hi - beta < beta - lo), -h, h)
+    else:  # central: both sides of each column are probed
+        base = None
     up = np.minimum(hi, np.maximum(lo, beta + h))
     down = beta if base is not None else np.maximum(lo, beta - h)
     for j in range(n):

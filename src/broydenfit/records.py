@@ -108,8 +108,9 @@ class SolverConfig:
                       every this many iterations.  Every run rebuilds it
                       after 2 rejected line searches in a row
                       (``core.STALL_REFRESH_REJECTIONS``), so None does not
-                      mean pure secant updates.  A central rebuild costs 2n
-                      calls.
+                      mean pure secant updates.  By default a rebuild is
+                      a forward one from the residuals in hand, n calls;
+                      ``optimize``'s ``fd_config`` may choose central, 2n.
     """
 
     epsilon: float = 1e-3

@@ -313,7 +313,7 @@ def test_secant_jacobian_says_what_it_did():
     a = rng.standard_normal((6, 2))
     jac.pending = (rng.standard_normal(2), rng.standard_normal(6))
     box = Parameters(np.zeros(2))
-    assert jac.refresh(lambda x: a @ x, box.values, box, None) is None
+    assert jac.refresh(lambda x: a @ x, box.values, a @ box.values, box, None) is None
     assert jac.pending is None
     assert np.allclose(jac.b, a, rtol=1e-6, atol=1e-6)
     assert jac.gram.tobytes() == gram_matrix(jac.b).tobytes()
@@ -354,7 +354,7 @@ def test_secant_jacobian_system_is_exact_at_recompute_points(weights):
         before = jac.gram
         if k == 11:
             at = rng.standard_normal(n)
-            rhs = jac.refresh(lambda x: a @ x, at, Parameters(at), None)
+            rhs = jac.refresh(lambda x: a @ x, at, a @ at, Parameters(at), None)
         else:
             jac.pending = (rng.standard_normal(n), rng.standard_normal(m))
             rhs = jac.absorb(r, k)

@@ -13,6 +13,7 @@ from broydenfit.fdiff import fd_jacobian
 from broydenfit.models import Dataset, ExponentialDecayModel
 
 from conftest import (
+    CountingEvaluator,
     analytic_jacobian,
     brute_force_minimum,
     decay_dataset,
@@ -94,6 +95,31 @@ def test_fd_jacobian_writes_into_out(scheme):
     out = np.full((40, 2), np.nan)
     assert fd_jacobian(ev, beta, config, out=out) is out
     assert np.array_equal(out, fd_jacobian(ev, beta, config))
+
+
+@pytest.mark.parametrize("box", [(None, None), ([0.0, 0.0], [2.0, 0.7])],
+                         ids=["unbounded", "on-upper-bounds"])
+def test_forward_build_given_its_base_makes_n_calls(box):
+    # The residuals at beta, already in hand, stand in for the base evaluation:
+    # n calls instead of n + 1, and the same columns bit for bit, flipped
+    # probes included.
+    ev = CountingEvaluator(DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40)))
+    beta, config = np.array([2.0, 0.7]), FdConfig(scheme="forward")
+    without = fd_jacobian(ev, beta, config, *box)
+    assert ev.count == 3
+    base = ev(beta)
+    ev.count = 0
+    assert fd_jacobian(ev, beta, config, *box, base=base).tobytes() == without.tobytes()
+    assert ev.count == 2
+
+
+def test_central_build_ignores_base():
+    ev = CountingEvaluator(DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40)))
+    beta = np.array([2.0, 0.7])
+    want = fd_jacobian(ev, beta)
+    ev.count = 0
+    assert fd_jacobian(ev, beta, base=np.full(40, np.nan)).tobytes() == want.tobytes()
+    assert ev.count == 4
 
 
 def _boxed_spy(lower, upper):

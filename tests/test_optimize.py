@@ -16,7 +16,7 @@ from broydenfit import (
     optimize_with_state,
 )
 from broydenfit import core, fdiff
-from broydenfit.fdiff import fd_jacobian
+from broydenfit.fdiff import FdConfig, fd_jacobian
 from broydenfit.core import LAMBDA_CAP
 from broydenfit.models import Dataset, ExponentialDecayModel
 
@@ -79,8 +79,9 @@ def _fails_from(call, residuals):
 
 def _kink(beta):
     # A sharp kink exactly at the perturbed second start: no step decreases the
-    # norm.  Its slopes differ (2e-10 above, 1e-10 below), so a central-FD
-    # rebuild of B there gives a nonzero column and the search goes on failing.
+    # norm.  Its slopes differ (2e-10 above, 1e-10 below), so an FD rebuild of
+    # B there, forward or central, gives a nonzero column and the search goes on
+    # failing.
     d = beta[0] - 1.0 * (1.0 + SolverConfig().perturbation_rel)
     return np.full(2, 1.0 + 1e-10 * (2.0 * d if d > 0 else -d))
 
@@ -115,21 +116,22 @@ _EXITS = [
      RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 1, np.inf, True),
     ("second-bootstrap-call", lambda: _fails_from(2, _shifted), dict(n_params=1),
      RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 2, 1.0000000000000002, True),
+    # The forward rebuild reuses the residuals in hand: its second call probes column 1.
     ("fd-refresh", lambda: _fails_from(4, _shifted_plus_b1), dict(n_params=2, config=_HYBRID),
-     RunStatus.EvaluatorFailure, "iteration 1: probe for column 0 failed: boom", 0, 4,
+     RunStatus.EvaluatorFailure, "iteration 1: probe for column 1 failed: boom", 0, 4,
      1.00015, True),
     ("non-finite-normal-equations", lambda: _overflowing, dict(beta0=[1.0, 2.0]),
      RunStatus.LineSearchFloor, "iteration 1: non-finite normal equations "
      "(array must not contain infs or NaNs)", 0, 2, np.inf, False),
     ("singular-at-cap", lambda: _shifted, dict(n_params=2, config=_HYBRID),
      RunStatus.LineSearchFloor, "iteration 1: singular system at damping cap "
-     "(pivot ratio 0.000e+00 below 1e-14)", 0, 6, 1.0001, False),
+     "(pivot ratio 0.000e+00 below 1e-14)", 0, 4, 1.0001, False),
     ("line-search-evaluation", lambda: _fails_from(3, _shifted), dict(n_params=1),
      RunStatus.EvaluatorFailure,
      "iteration 1: every line-search trial failed to evaluate: boom", 0, 16, 1.0001, False),
     ("no-decrease-at-cap", lambda: _kink, dict(beta0=[1.0]),
      RunStatus.LineSearchFloor, "iteration 15: no sufficient-decrease step at damping cap",
-     15, 116, 1.0000000000000002, False),
+     15, 122, 1.0000000000000002, False),
     # Iterations 1 and 2 reject, so iteration 3 rebuilds B; its first probe fails.
     ("stall-refresh", lambda: _fails_from(17, _kink), dict(beta0=[1.0]),
      RunStatus.EvaluatorFailure, "iteration 3: probe for column 0 failed: boom", 2, 17,
@@ -322,9 +324,9 @@ def test_line_search_floor_after_damping_cap():
     pytest.param(_shifted, dict(n_params=2, config=SolverConfig(lambda_init=0.0,
                                                                  fd_refresh_period=1)),
                  "iteration 1: singular system at damping cap "
-                 "(pivot ratio 0.000e+00 below 1e-14)", 0, 6, id="singular"),
+                 "(pivot ratio 0.000e+00 below 1e-14)", 0, 4, id="singular"),
     pytest.param(_kink, dict(beta0=[1.0], config=SolverConfig(lambda_init=0.0)),
-                 "iteration 26: no sufficient-decrease step at damping cap", 26, 191,
+                 "iteration 26: no sufficient-decrease step at damping cap", 26, 202,
                  id="no-decrease"),
 ])
 def test_zero_initial_damping_still_reaches_the_cap(residuals, kwargs, reason, records,
@@ -358,14 +360,35 @@ def _spy_rebuilds(monkeypatch):
 
 def test_two_rejected_searches_in_a_row_rebuild_b_once(monkeypatch):
     # A decay fit in a tenth of the unit rejects at iterations 9 and 10 and
-    # no other: iteration 11 rebuilds B by central FD, 2n = 4 calls.
+    # no other: iteration 11 rebuilds B by forward FD from the residuals in
+    # hand, n = 2 calls.
     rebuilds, on_iteration = _spy_rebuilds(monkeypatch)
     ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
     report = optimize(lambda beta: 0.1 * ev(beta), [1.0, 1.0], on_iteration=on_iteration)
     assert report.status is RunStatus.Converged
     rejected = [rec.k for rec in report.iterations if not rec.armijo_satisfied]
     assert rejected == [9, 10]
-    assert [(before, len(calls)) for before, calls in rebuilds] == [(10, 4)]
+    assert [(before, len(calls)) for before, calls in rebuilds] == [(10, 2)]
+
+
+@pytest.mark.parametrize("fd_config, calls_per_column", [
+    (None, 1), (FdConfig(scheme="central"), 2)], ids=["default", "central"])
+@pytest.mark.parametrize("unit, config, records_before", [
+    (0.1, None, [10]), (1.0, SolverConfig(fd_refresh_period=2), [1, 3, 5])],
+    ids=["stall", "period"])
+def test_a_rebuild_costs_n_calls_by_default(monkeypatch, unit, config, records_before,
+                                            fd_config, calls_per_column):
+    # The decay fit (n = 2) of test_two_rejected_searches_in_a_row_rebuild_b_once
+    # rebuilds once for the stall; in its own unit it accepts every step, and
+    # with a period of 2 rebuilds at iterations 2, 4 and 6.  A default rebuild
+    # reuses the residuals in hand; an explicit central one probes both sides.
+    rebuilds, on_iteration = _spy_rebuilds(monkeypatch)
+    ev = DatasetEvaluator(ExponentialDecayModel(), decay_dataset(40))
+    report = optimize(lambda beta: unit * ev(beta), [1.0, 1.0], config,
+                      fd_config=fd_config, on_iteration=on_iteration)
+    assert report.status is RunStatus.Converged
+    assert [(before, len(calls)) for before, calls in rebuilds] == [
+        (before, 2 * calls_per_column) for before in records_before]
 
 
 def test_runs_without_a_rejected_pair_make_no_rebuild(monkeypatch):
@@ -399,9 +422,9 @@ def test_refresh_rebuilds_b_in_place():
     beta = Parameters([1.0, 0.5])
     jac = core._SecantJacobian(40, 2, None)
     b = jac.b
-    assert jac.refresh(ev, beta.values, beta, None) is None
+    assert jac.refresh(ev, beta.values, ev(beta.values), beta, None) is None
     assert jac.b is b
-    assert np.array_equal(b, fd_jacobian(ev, beta.values))
+    assert np.array_equal(b, fd_jacobian(ev, beta.values, FdConfig(scheme="forward")))
     assert jac.gram.tobytes() == core.gram_matrix(b).tobytes()
 
 
@@ -481,7 +504,7 @@ def test_a_rebuild_drops_the_last_pair():
 
     def after(rec):
         if rec.k == 1:
-            limit[0] = len(calls) + 4  # the rebuild's central probes
+            limit[0] = len(calls) + 2  # the rebuild's forward probes
 
     report, state = optimize_with_state(evaluate, n_params=2, on_iteration=after,
                                         config=SolverConfig(fd_refresh_period=2))
