@@ -103,31 +103,14 @@ def weighted_norm(r: np.ndarray) -> float:
     return math.sqrt(r @ r)
 
 
-def _perturbed_coordinate(v: float, lo: float, hi: float, rel: float, ab: float) -> float:
-    candidates = (v * (1.0 + rel), v * (1.0 - rel)) if v != 0.0 else (ab, -ab)
-    for cand in (*candidates, v + ab, v - ab):
-        clipped = min(max(cand, lo), hi)
-        if clipped != v:
-            return clipped
-    # lo < hi, so only round-off can leave every candidate at v
-    raise ConfigError(f"cannot perturb parameter {v}: perturbation_rel {rel} and "
-                      f"perturbation_abs {ab} are both lost to its rounding",
-                      key="perturbation_rel")
-
-
 def perturb_initial(beta0: Parameters, config: SolverConfig) -> Parameters:
-    """Second starting point for the secant bootstrap.
-
-    Nonzero coordinates move by a relative factor (sign preserving), zero
-    coordinates by an absolute offset.  Clipping keeps the result feasible;
-    if clipping would undo the move, the opposite direction is used, so every
-    coordinate is guaranteed to change.
-    """
-    values = [
-        _perturbed_coordinate(v, lo, hi, config.perturbation_rel, config.perturbation_abs)
-        for v, lo, hi in zip(beta0.values, beta0.lower, beta0.upper)
-    ]
-    return beta0.with_values(np.asarray(values))
+    """Second starting point for the secant bootstrap: each coordinate steps
+    away from zero (up from zero) by :meth:`fdiff.FdConfig.step` of the two
+    perturbation sizes, :func:`fdiff.steps_inside` the box, so each one moves."""
+    v = beta0.values
+    h = fdiff.FdConfig(h_rel=config.perturbation_rel, h_abs=config.perturbation_abs).step(v)
+    return beta0.with_values(fdiff.steps_inside(v, np.where(v < 0, -h, h),
+                                                beta0.lower, beta0.upper))
 
 
 def broyden_update(

@@ -63,7 +63,7 @@ def _parse_cell(text: str, line: int, column: str) -> float:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset/1 file, UTF-8 text.
+    """Read a dataset/1 file, UTF-8 text with or without a byte-order mark.
 
     The header must name columns ``x1..xd`` (d >= 1, contiguous) and ``y``;
     a ``weight`` column is optional.  Column order is free; rows keep file
@@ -75,10 +75,10 @@ def load_dataset(path) -> Dataset:
     except ValueError as exc:  # a NUL byte in the path
         raise ConfigError(f"dataset path {path!r}: {exc}", key="dataset") from None
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
         rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(reader)]
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"line {line}: not UTF-8 text ({exc.reason})", line=line) from None
     except csv.Error as exc:  # a cell beyond csv's field size limit
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None

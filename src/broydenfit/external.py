@@ -144,9 +144,10 @@ class ExternalEvaluator:
     The process is spawned by start(), or lazily on the first call, and owned
     exclusively by this instance; close() (or use as a context manager)
     terminates it, and the next start() or call after close() spawns a fresh
-    child.  Once a call has failed hard (death, timeout), subsequent calls
-    fail immediately rather than respawning, until close(): mid-run restarts
-    would silently discard whatever state the evaluator had built up.
+    child.  Once the child has died or timed out, subsequent calls fail
+    immediately rather than respawning, until close(): mid-run restarts would
+    silently discard whatever state the evaluator had built up.  A failed
+    spawn ran no child, so the next call tries it again.
     """
 
     def __init__(self, spec: ExternalEvaluatorSpec):
@@ -169,8 +170,8 @@ class ExternalEvaluator:
                 text=True,
             )
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an argument
-            self._dead = f"could not start {self.spec.command[0]!r}: {exc}"
-            raise EvaluatorFailure(self._dead, category="spawn") from exc
+            raise EvaluatorFailure(f"could not start {self.spec.command[0]!r}: {exc}",
+                                   category="spawn") from exc
         # Reader thread decouples blocking pipe reads from the timeout logic.
         # A queue per child: an earlier child's end-of-file None is not this one's.
         self._lines = queue.Queue()
@@ -186,10 +187,8 @@ class ExternalEvaluator:
         first call retries it and raises the failure.
         """
         if self._proc is None and self._dead is None:
-            try:
+            with contextlib.suppress(EvaluatorFailure):
                 self._spawn()
-            except EvaluatorFailure:
-                self._dead = None  # the first call retries the spawn and raises
 
     def _fail(self, message: str, category: str):
         self.close(grace=0.0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_fields, check_type
+from .fdiff import EPS, TINY
 
 
 def _as_bound(bound, n: int, default: float) -> np.ndarray:
@@ -101,8 +102,8 @@ class SolverConfig:
     lambda_init:      initial damping factor (>= 0).
     lambda_decrease:  damping multiplier after an accepted step.
     lambda_increase:  damping multiplier after a rejected step.
-    perturbation_rel: relative bootstrap perturbation of nonzero parameters.
-    perturbation_abs: additive bootstrap perturbation of zero parameters.
+    perturbation_rel: relative size of the bootstrap step, as ``FdConfig.h_rel``.
+    perturbation_abs: its size at zero, as ``FdConfig.h_abs``.
     max_iterations:   hard iteration cap.
     fd_refresh_period: also rebuild the secant matrix from finite differences
                       every this many iterations.  Every run rebuilds it
@@ -132,8 +133,9 @@ class SolverConfig:
             ("lambda_init", c.lambda_init >= 0),
             ("lambda_decrease", 0 < c.lambda_decrease < 1),
             ("lambda_increase", c.lambda_increase > 1),
-            ("perturbation_rel", c.perturbation_rel > 0),
-            ("perturbation_abs", c.perturbation_abs > 0),
+            ("perturbation_rel", EPS <= c.perturbation_rel < np.inf),
+            ("perturbation_abs",
+             TINY * max(c.perturbation_rel, 1.0) <= c.perturbation_abs < np.inf),
             ("max_iterations", c.max_iterations >= 2),
             ("fd_refresh_period", c.fd_refresh_period is None or c.fd_refresh_period >= 1),
         ])

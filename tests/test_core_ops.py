@@ -95,6 +95,8 @@ def test_perturb_reverses_at_bound():
     assert out.values[0] == pytest.approx(99.0)
     out = perturb_initial(Parameters([0.0], lower=[-1.0], upper=[0.0]), SolverConfig())
     assert out.values[0] == pytest.approx(-0.01)
+    out = perturb_initial(Parameters([-100.0], lower=[-100.0]), SolverConfig())
+    assert out.values[0] == pytest.approx(-99.0)
 
 
 def test_perturb_changes_every_coordinate():
@@ -110,14 +112,11 @@ def test_perturb_changes_every_coordinate():
         assert np.all(out.values >= lo) and np.all(out.values <= hi)
 
 
-def test_perturb_lost_to_rounding_names_both_sizes():
-    # Both sizes below half the float spacing of 1.0: no candidate moves it.
-    cfg = SolverConfig(perturbation_rel=1e-20, perturbation_abs=1e-300)
-    with pytest.raises(ConfigError) as err:
-        perturb_initial(Parameters([1.0]), cfg)
-    assert err.value.key == "perturbation_rel"
-    assert "perturbation_rel 1e-20" in str(err.value)
-    assert "perturbation_abs 1e-300" in str(err.value)
+def test_perturb_small_coordinate_steps_by_the_absolute_size():
+    # Below perturbation_abs / perturbation_rel (1 by default) a coordinate
+    # steps by perturbation_abs, as a zero one does.
+    out = perturb_initial(Parameters([0.5, -1e-300]), SolverConfig())
+    assert np.array_equal(out.values, [0.5 + 0.01, -1e-300 - 0.01])
 
 
 # --- secant update ----------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broydenfit import (
+    ConfigError,
     Dataset,
     DatasetEvaluator,
     ExponentialDecayModel,
@@ -22,6 +23,7 @@ from broydenfit.core import (
     solve_free,
     weighted_norm,
 )
+from broydenfit.fdiff import EPS, TINY
 from broydenfit.linalg import solve
 
 from conftest import CountingEvaluator, analytic_jacobian, corpus, linear_dataset
@@ -49,6 +51,40 @@ def test_secant_condition_holds(triple):
     eps = np.finfo(float).eps
     bound = 4 * eps * (np.linalg.norm(t) + np.linalg.norm(b, "fro") * np.linalg.norm(s))
     assert np.linalg.norm(b_new @ s - t) <= bound
+
+
+@st.composite
+def boxed_coordinates(draw):
+    """A coordinate, zero, subnormal or up to 1e300 in size, and a box around
+    it: unbounded, on a bound, or a random one."""
+    special = [0.0, -0.0, TINY, -TINY, 1e-310, -2.2e-308, 1e300, -1e300]
+    v = draw(st.sampled_from(special) | st.floats(-1e300, 1e300))
+    lo = draw(st.sampled_from([-np.inf, v]) | st.floats(-1e300, v))
+    hi = draw(st.sampled_from([np.inf, v]) | st.floats(v, 1e300))
+    return v, lo, hi
+
+
+@given(st.lists(boxed_coordinates(), min_size=1, max_size=4),
+       st.floats(EPS, 1e3) | st.just(EPS), st.floats(TINY, 1e3) | st.just(TINY))
+@settings(max_examples=500, deadline=None)
+def test_bootstrap_moves_every_coordinate_inside_its_box(coordinates, rel, ab):
+    v, lo, hi = map(np.array, zip(*coordinates))
+    if not (lo < hi).all():
+        return
+    if ab < rel * TINY:  # ab / rel would underflow to a zero step at zero
+        with pytest.raises(ConfigError):
+            SolverConfig(perturbation_rel=rel, perturbation_abs=ab)
+        return
+    cfg = SolverConfig(perturbation_rel=rel, perturbation_abs=ab)
+    out = perturb_initial(Parameters(v, lo, hi), cfg).values
+    assert (out != v).all()
+    assert (out >= lo).all() and (out <= hi).all()
+    # Away from zero (up from zero itself), unless the box has more room
+    # the other way.
+    away = np.where(v < 0, out < v, out > v)
+    room_away = np.where(v < 0, v - lo, hi - v)
+    room_back = np.where(v < 0, hi - v, v - lo)
+    assert (away | (room_away < room_back)).all()
 
 
 @st.composite

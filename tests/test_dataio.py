@@ -56,6 +56,23 @@ def test_load_dataset_column_order_is_free(tmp_path):
     assert np.array_equal(data.y, [7.0, 8.0])
 
 
+def test_load_dataset_with_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one.
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,y\r\n0,1\r\n1,3\r\n")
+    data = load_dataset(path)
+    assert np.array_equal(data.x, [[0.0], [1.0]]) and np.array_equal(data.y, [1.0, 3.0])
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte_order_mark"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, mark):
+    path = tmp_path / "d.csv"
+    path.write_bytes(mark + b"x1,y\n\xff0,1\n")
+    with pytest.raises(ParseError, match=r"^line 2: not UTF-8 text") as err:
+        load_dataset(path)
+    assert err.value.line == 2
+
+
 def test_non_numeric_cell_names_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(write(tmp_path, "d.csv", "x1,y\n0,abc\n"))

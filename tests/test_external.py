@@ -253,6 +253,63 @@ def test_start_leaves_a_failed_spawn_to_the_first_call():
     assert str(err.value).startswith("could not start '/no/such/binary-here': ")
 
 
+def test_a_failed_spawn_is_tried_again_by_the_next_call():
+    # No child ran, so nothing died: each call tries the spawn and reports it.
+    ev = ExternalEvaluator(ExternalEvaluatorSpec(command=("/no/such/binary-here",)))
+    for _ in range(2):
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert err.value.category == "spawn"
+        assert str(err.value).startswith("could not start '/no/such/binary-here': ")
+
+
+def test_a_spawn_that_fails_once_succeeds_on_the_next_call(tmp_path):
+    # The working directory does not exist until after the first call.
+    workdir = tmp_path / "later"
+    spec = ExternalEvaluatorSpec((sys.executable, "-c", ECHO_CHILD), str(workdir), 10.0)
+    with ExternalEvaluator(spec) as ev:
+        ev.start()  # fails, and leaves nothing recorded
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert err.value.category == "spawn"
+        workdir.mkdir()
+        assert np.array_equal(ev(np.array([2.0])), [2.0])
+
+
+# Closes its standard input and says so, then stays up: a request write
+# fails while the child still runs.
+CLOSED_INPUT_CHILD = """
+import os, sys, time
+os.close(0)
+open(sys.argv[1], "w").close()
+time.sleep(60)
+"""
+
+
+def test_a_child_that_closed_its_input_is_killed(tmp_path):
+    flag = tmp_path / "closed"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ev = ExternalEvaluator(child(CLOSED_INPUT_CHILD, 10.0, str(flag)))
+        ev.start()
+        deadline = time.monotonic() + 30
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc = ev._proc
+        assert flag.exists() and proc.poll() is None
+        start = time.perf_counter()
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        elapsed = time.perf_counter() - start
+        assert err.value.category == "process_died"
+        assert str(err.value) == "evaluator process closed its input pipe"
+        assert proc.returncode is not None and elapsed < 1.0
+        ev.close()
+        del ev, proc
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_a_child_that_exited_before_the_first_request_died():
     # Its input pipe is closed by then, yet the reason is the one a child
     # that exits after reading the request gets.

@@ -9,7 +9,7 @@ from broydenfit import (
     LinearModel,
     PolynomialModel,
 )
-from broydenfit.fdiff import fd_jacobian
+from broydenfit.fdiff import EPS, TINY, fd_jacobian
 from broydenfit.models import Dataset, ExponentialDecayModel
 
 from conftest import (
@@ -223,6 +223,25 @@ def test_fd_config_validation():
         FdConfig(scheme="complex")
     with pytest.raises(ConfigError):
         FdConfig(h_rel=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_the_least_step_sizes_still_move_every_probe(scheme):
+    # h_rel = eps steps 1.0 by one ulp, and h_abs = the least subnormal steps
+    # zero to it: every quotient is exact, none is 0 / 0.
+    config = FdConfig(scheme, h_rel=EPS, h_abs=TINY)
+    jac = fd_jacobian(lambda b: b.copy(), np.array([1.0, 0.0, -3.0]), config)
+    assert np.array_equal(jac, np.eye(3))
+
+
+@pytest.mark.parametrize("h_rel", [EPS, 1e-6, 0.5, 4.0, 1e10])
+def test_a_step_moves_every_coordinate_it_is_taken_of(h_rel):
+    # Each size rule's least value: no coordinate, zero, subnormal, normal
+    # or huge, is left where it was, either way.
+    h_abs = h_rel * TINY if h_rel >= 1 else TINY
+    beta = np.array([0.0, TINY, -TINY, 3 * TINY, 2.2e-308, 1.0, -1.0 + EPS, 0.1, -1e290])
+    h = FdConfig(h_rel=h_rel, h_abs=h_abs).step(beta)
+    assert (beta + h != beta).all() and (beta - h != beta).all()
 
 
 def test_brute_force_constant_model_mean():

@@ -133,6 +133,18 @@ _TIMEOUT = f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s"
                  "invalid value for perturbation_rel: 0.0", id="solver-perturbation_rel"),
     pytest.param(lambda: SolverConfig(perturbation_abs=-0.01), "perturbation_abs",
                  "invalid value for perturbation_abs: -0.01", id="solver-perturbation_abs"),
+    # Sizes a step could round away at: a relative one below float64 epsilon,
+    # an absolute one whose ratio to the relative one underflows to 0.
+    pytest.param(lambda: SolverConfig(perturbation_rel=1e-20), "perturbation_rel",
+                 "invalid value for perturbation_rel: 1e-20",
+                 id="solver-perturbation_rel-below-eps"),
+    pytest.param(lambda: SolverConfig(perturbation_rel=math.inf), "perturbation_rel",
+                 "invalid value for perturbation_rel: inf", id="solver-perturbation_rel-inf"),
+    pytest.param(lambda: SolverConfig(perturbation_rel=4.0, perturbation_abs=5e-324),
+                 "perturbation_abs", "invalid value for perturbation_abs: 5e-324",
+                 id="solver-perturbation_abs-ratio-underflows"),
+    pytest.param(lambda: SolverConfig(perturbation_abs=math.inf), "perturbation_abs",
+                 "invalid value for perturbation_abs: inf", id="solver-perturbation_abs-inf"),
     pytest.param(lambda: SolverConfig(max_iterations=1), "max_iterations",
                  "invalid value for max_iterations: 1", id="solver-max_iterations"),
     pytest.param(lambda: SolverConfig(fd_refresh_period=0), "fd_refresh_period",
@@ -147,6 +159,14 @@ _TIMEOUT = f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] s"
                  "invalid value for h_rel: 0.0", id="fd-h_rel"),
     pytest.param(lambda: FdConfig(h_abs=-1e-8), "h_abs",
                  "invalid value for h_abs: -1e-08", id="fd-h_abs"),
+    pytest.param(lambda: FdConfig(h_rel=1e-20), "h_rel",
+                 "invalid value for h_rel: 1e-20", id="fd-h_rel-below-eps"),
+    pytest.param(lambda: FdConfig(h_rel=math.inf), "h_rel",
+                 "invalid value for h_rel: inf", id="fd-h_rel-inf"),
+    pytest.param(lambda: FdConfig(h_rel=4.0, h_abs=5e-324), "h_abs",
+                 "invalid value for h_abs: 5e-324", id="fd-h_abs-ratio-underflows"),
+    pytest.param(lambda: FdConfig(h_abs=math.inf), "h_abs",
+                 "invalid value for h_abs: inf", id="fd-h_abs-inf"),
     pytest.param(lambda: FdConfig(h_abs=None), "h_abs",
                  "h_abs must be a number, got None", id="fd-type"),
     pytest.param(lambda: ExternalEvaluatorSpec(command=[]), "command",

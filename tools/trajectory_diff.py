@@ -5,11 +5,10 @@ Runs every problem of one benchmark workload (``corpus``, ``tall``,
 each checkout and compares the results of each problem.
 
 In-process workloads (``corpus``, ``tall``, ``wide``) fit each problem
-through ``broydenfit.optimize`` and compare the two ``RunReport``s, every
-field and every iteration record, bit for bit, records by field name.
-Each problem is also run through ``broydenfit.optimize_with_state``; its
-final secant state (a SHA-256 of ``broyden``, ``last_step`` and
-``last_residual_change``) is compared too.
+once, through ``broydenfit.optimize_with_state``, and compare the two
+``RunReport``s (``optimize``'s report), every field and every iteration
+record, bit for bit, records by field name, and the final secant states (a
+SHA-256 of ``broyden``, ``last_step`` and ``last_residual_change``).
 
 The ``external`` workload fits each problem end to end through
 ``broydenfit.cli.main``, with a ``serve-model`` child running the same
@@ -19,7 +18,7 @@ JSON data (``json.load``, so key order does not matter), and the csv-trace,
 the ``-v`` lines, the summary line and the exit status byte for byte.
 
 Each problem's result also counts the WARNING records the package logged
-during its fit (the first fit, for in-process workloads).
+during its fit (both fits, for ``external``).
 
 Prints how many problems differ, and how many of those differ in
 ``evaluations`` or ``status`` (a changed trajectory rather than round-off);
@@ -156,9 +155,9 @@ def child(checkout: str, bench: str, workload: str) -> None:
         call = dict(p.call)
         evaluator = call.pop("evaluator")
         logged.count = 0
-        data = _report_data(broydenfit.optimize(evaluator, **call))
+        report, state = broydenfit.optimize_with_state(evaluator, **call)
+        data = _report_data(report) | _state_data(state)
         data["warnings"] = logged.count
-        data.update(_state_data(broydenfit.optimize_with_state(evaluator, **call)[1]))
         print(json.dumps([p.name, data]), flush=True)
 
 
