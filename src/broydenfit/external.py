@@ -18,7 +18,8 @@ response), and must ignore request keys it does not know, so children that
 send lists keep working.  Reals carry full round-trip precision in both
 forms, so an in-process model served through this channel reproduces
 bit-identical residuals.  The child's standard error is passed through for
-logging.
+logging.  POSIX only: a selector waits for each response on the calling
+thread, and the child leads a process group of its own.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
-import queue
+import os
+import selectors
+import signal
 import subprocess
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -37,9 +41,6 @@ import numpy as np
 from .errors import ConfigError, EvaluatorFailure, check_fields, check_residuals, check_type
 
 PROTOCOL_VERSION = 1
-
-# How long close() waits for the reader thread to see the exited child's EOF.
-READER_JOIN_SECONDS = 1.0
 
 # How much of a malformed response line, or of a child's error, a message quotes.
 ECHO_CHARS = 200
@@ -129,15 +130,6 @@ def _decode_response(line: str, expect_id: int) -> np.ndarray:
     raise _malformed("response carries no residual list", line)
 
 
-def _pump(stream, lines: queue.Queue):
-    """Put each line of ``stream`` on ``lines``, then None.  The reader closes the
-    stream at end of file: another thread's close would block behind a read."""
-    with stream:
-        for line in stream:
-            lines.put(line)
-    lines.put(None)
-
-
 class ExternalEvaluator:
     """Residual evaluator backed by one long-lived child process.
 
@@ -147,37 +139,26 @@ class ExternalEvaluator:
     child.  Once the child has died or timed out, subsequent calls fail
     immediately rather than respawning, until close(): mid-run restarts would
     silently discard whatever state the evaluator had built up.  A failed
-    spawn ran no child, so the next call tries it again.
+    spawn ran no child, so the next call tries it again.  The child leads a
+    new session, so the terminal's Ctrl-C does not reach it: close() ends it.
     """
 
     def __init__(self, spec: ExternalEvaluatorSpec):
         self.spec = spec
         self._proc: subprocess.Popen | None = None
-        self._reader: threading.Thread | None = None
-        self._lines: queue.Queue | None = None
         self._next_id = 0
         self._m: int | None = None
         self._dead: str | None = None
 
     def _spawn(self):
         try:
-            self._proc = subprocess.Popen(
-                list(self.spec.command),
-                cwd=self.spec.working_dir,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=None,
-                text=True,
-            )
+            self._proc = subprocess.Popen(  # standard error passes through
+                list(self.spec.command), cwd=self.spec.working_dir, stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, start_new_session=True)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an argument
             raise EvaluatorFailure(f"could not start {self.spec.command[0]!r}: {exc}",
                                    category="spawn") from exc
-        # Reader thread decouples blocking pipe reads from the timeout logic.
-        # A queue per child: an earlier child's end-of-file None is not this one's.
-        self._lines = queue.Queue()
-        self._reader = threading.Thread(target=_pump, daemon=True,
-                                        args=(self._proc.stdout, self._lines))
-        self._reader.start()
+        self._buffer = bytearray()  # this child's output not yet read as a line
 
     def start(self):
         """Spawn the child now, so it boots while the caller does other work.
@@ -195,6 +176,29 @@ class ExternalEvaluator:
         self._dead = message
         raise EvaluatorFailure(message, category=category)
 
+    def _read_line(self, deadline: float) -> str:
+        """The child's next output line, or "" at end of file (a last line needs
+        no newline).  Fails with ``timeout`` at ``deadline`` (``time.monotonic()``)."""
+        buffer, fd, searched = self._buffer, self._proc.stdout.fileno(), 0
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while (newline := buffer.find(b"\n", searched)) < 0:
+                searched = len(buffer)
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    self._fail(f"no response within {self.spec.timeout} s",
+                               category="timeout")
+                # A day at most: a selector refuses waits near threading.TIMEOUT_MAX.
+                if selector.select(min(wait, 86400.0)):
+                    chunk = os.read(fd, 1 << 16)  # a pipe's capacity
+                    if not chunk:
+                        break
+                    buffer += chunk
+        end = newline + 1 if newline >= 0 else len(buffer)
+        line = buffer[:end].decode(errors="replace")
+        del buffer[:end]
+        return line
+
     def __call__(self, beta) -> np.ndarray:
         if self._dead is not None:
             raise EvaluatorFailure(
@@ -205,22 +209,18 @@ class ExternalEvaluator:
             self._spawn()
         req_id = self._next_id
         self._next_id += 1
+        deadline = time.monotonic() + self.spec.timeout
         try:
-            self._proc.stdin.write(encode_request(req_id, beta) + "\n")
+            self._proc.stdin.write(encode_request(req_id, beta).encode() + b"\n")
             self._proc.stdin.flush()
         except OSError:
             if self._proc.poll() is None:
                 self._fail("evaluator process closed its input pipe",
                            category="process_died")
-            line = None  # it exited unread: the same report as unanswered
+            line = ""  # it exited unread: the same report as unanswered
         else:
-            try:
-                line = self._lines.get(timeout=self.spec.timeout)
-            except queue.Empty:
-                self._fail(
-                    f"no response within {self.spec.timeout} s", category="timeout"
-                )
-        if line is None:
+            line = self._read_line(deadline)
+        if not line:
             self._fail("evaluator process exited before responding",
                        category="process_died")
         residuals = _decode_response(line, req_id)
@@ -228,11 +228,9 @@ class ExternalEvaluator:
         return residuals
 
     def close(self, grace: float = 2.0):
-        """Close the child's input; kill it if it is still up after ``grace`` s.
-
-        Then wait (at most ``READER_JOIN_SECONDS``) for the reader thread to
-        drain and close the child's output.  A recorded hard failure is
-        cleared, so the next start() or call spawns a fresh child.
+        """Close the child's input, kill its process group if the child is
+        still up after ``grace`` s, and close its output.  A recorded hard
+        failure is cleared, so the next start() or call spawns a fresh child.
         """
         self._dead = None
         proc, self._proc = self._proc, None
@@ -243,9 +241,10 @@ class ExternalEvaluator:
         try:
             proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
-            proc.kill()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-        self._reader.join(timeout=READER_JOIN_SECONDS)
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

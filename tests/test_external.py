@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import sys
+import threading
 import time
 import warnings
 
@@ -158,6 +159,11 @@ def test_timed_out_child_is_killed_at_once():
     assert elapsed < 1.0
 
 
+def assert_closed(proc):
+    """The child is reaped, and both its pipes are closed."""
+    assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+
+
 @pytest.mark.parametrize("script, timeout, fails", [
     (ECHO_CHILD, 10.0, False),
     (SLEEP_CHILD, 0.3, True),
@@ -166,14 +172,16 @@ def test_close_leaves_no_pipe_open(script, timeout, fails):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         ev = ExternalEvaluator(child(script, timeout))
+        ev.start()
+        proc = ev._proc
         if fails:
             with pytest.raises(EvaluatorFailure):
                 ev(np.array([1.0]))
         else:
             ev(np.array([1.0]))
         ev.close()
-        assert not ev._reader.is_alive()  # close() waited for it
-        del ev
+        assert_closed(proc)
+        del ev, proc
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
@@ -222,9 +230,11 @@ def test_start_then_close_leaves_no_pipe_open():
         warnings.simplefilter("always", ResourceWarning)
         ev = ExternalEvaluator(child(ECHO_CHILD))
         ev.start()
+        proc = ev._proc
         ev.close()
-        assert ev._proc is None and not ev._reader.is_alive()
-        del ev
+        assert ev._proc is None
+        assert_closed(proc)
+        del ev, proc
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
@@ -320,6 +330,124 @@ def test_a_child_that_exited_before_the_first_request_died():
             ev(np.array([1.0]))
         assert err.value.category == "process_died"
         assert str(err.value) == "evaluator process exited before responding"
+
+
+# Starts a grandchild that appends to a heartbeat file every 20 ms (for at
+# most 10 s), then reads a request and never answers: a wrapper script
+# around a simulator.
+HEARTBEAT_CHILD = """
+import subprocess, sys, time
+subprocess.Popen([sys.executable, "-c", sys.argv[2], sys.argv[1]])
+sys.stdin.readline()
+time.sleep(60)
+"""
+
+HEARTBEAT_GRANDCHILD = """
+import sys, time
+for _ in range(500):
+    with open(sys.argv[1], "a") as beat:
+        beat.write(".")
+    time.sleep(0.02)
+"""
+
+
+def test_a_timed_out_child_is_killed_with_its_grandchildren(tmp_path):
+    beat = tmp_path / "beat"
+    spec = child(HEARTBEAT_CHILD, 0.3, str(beat), HEARTBEAT_GRANDCHILD)
+    with ExternalEvaluator(spec) as ev:
+        ev.start()
+        deadline = time.monotonic() + 30
+        while not beat.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert beat.exists()
+        start = time.perf_counter()
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        elapsed = time.perf_counter() - start
+    assert err.value.category == "timeout" and elapsed < 1.0
+    time.sleep(0.2)
+    size = beat.stat().st_size
+    time.sleep(0.3)
+    assert beat.stat().st_size == size
+
+
+# Answers its first request with bytes that are not UTF-8, then stays up.
+NOT_UTF8_CHILD = """
+import sys
+sys.stdin.readline()
+sys.stdout.buffer.write(b"\\xff\\xfe garbage\\n")
+sys.stdout.flush()
+sys.stdin.readline()
+"""
+
+
+def test_a_response_that_is_not_utf8_is_malformed_at_once():
+    with ExternalEvaluator(child(NOT_UTF8_CHILD, 10.0)) as ev:
+        start = time.perf_counter()
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        elapsed = time.perf_counter() - start
+    assert err.value.category == "malformed_response"
+    assert "\ufffd\ufffd garbage" in str(err.value)
+    assert elapsed < 1.0
+
+
+# Answers its first request without a newline, then exits.
+NO_NEWLINE_CHILD = """
+import json, sys
+req = json.loads(sys.stdin.readline())
+sys.stdout.write(json.dumps({"v": 1, "id": req["id"], "residuals": [2.5]}))
+"""
+
+
+def test_a_last_line_without_a_newline_is_read():
+    with ExternalEvaluator(child(NO_NEWLINE_CHILD)) as ev:
+        assert np.array_equal(ev(np.array([1.0])), [2.5])
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert str(err.value) == "evaluator process exited before responding"
+
+
+# Echoes each request in two writes 50 ms apart.
+SPLIT_ECHO_CHILD = """
+import json, sys, time
+for line in sys.stdin:
+    req = json.loads(line)
+    text = json.dumps({"v": 1, "id": req["id"], "residuals": req["params"]}) + "\\n"
+    sys.stdout.write(text[:len(text) // 2])
+    sys.stdout.flush()
+    time.sleep(0.05)
+    sys.stdout.write(text[len(text) // 2:])
+    sys.stdout.flush()
+"""
+
+
+# 10_000 reals in a list run to about 200 KB, more than a pipe's 64 KiB.
+@pytest.mark.parametrize("script, n", [(SPLIT_ECHO_CHILD, 3), (ECHO_CHILD, 10_000)],
+                         ids=["two_writes", "over_64_kib"])
+def test_a_response_in_pieces_is_read_whole(script, n):
+    beta = np.random.default_rng(5).standard_normal(n)
+    with ExternalEvaluator(child(script)) as ev:
+        for _ in range(2):  # and the response after it
+            assert np.array_equal(ev(beta), beta)
+            beta = -beta
+
+
+def test_a_running_child_starts_no_thread():
+    before = threading.active_count()
+    with ExternalEvaluator(child(ECHO_CHILD)) as ev:
+        ev(np.array([1.0]))
+        assert threading.active_count() == before
+
+
+def test_the_longest_timeout_is_waited_in_steps():
+    # A selector refuses a single wait of threading.TIMEOUT_MAX s.
+    with ExternalEvaluator(child(ECHO_CHILD, threading.TIMEOUT_MAX)) as ev:
+        assert np.array_equal(ev(np.array([1.5])), [1.5])
+    with ExternalEvaluator(child(DIE_CHILD, threading.TIMEOUT_MAX)) as ev:
+        with pytest.raises(EvaluatorFailure) as err:
+            ev(np.array([1.0]))
+        assert err.value.category == "process_died"
 
 
 def test_garbage_line_is_malformed():
