@@ -7,9 +7,11 @@ that starts as a unit diagonal pattern and absorbs rank-one updates: each
 iteration with a nonzero direction queues the best trial of its line search,
 accepted or rejected, and the next iteration absorbs it unless it rebuilds B.
 Steps are globalized by a safeguarded quadratic backtracking line search that
-enforces a sufficient-decrease condition on the objective, and the damping
-factor is adapted multiplicatively on acceptance or rejection.  Bounds are
-kept by projection: pinned coordinates leave the solve (:func:`solve_free`).
+enforces a sufficient-decrease (Armijo) condition on the objective.  A search
+ends accepted, or rejected at the ``alpha_min`` floor or where a convex
+quadratic fitted to its trials has no Armijo step (:func:`backtrack`); the
+damping factor falls on acceptance and rises on rejection.  Bounds are kept
+by projection: pinned coordinates leave the solve (:func:`solve_free`).
 
 Only residual evaluations are required of the model: a callable mapping a
 parameter vector of length n to a residual vector of fixed length m >= n.
@@ -276,11 +278,14 @@ def backtrack(
     phi(alpha), clamped to ``[0.1 * alpha, 0.5 * alpha]``
     (Dennis & Schnabel 1983, Alg. A6.3.1), or by ``0.5 * alpha`` when that
     quadratic has no positive curvature or phi(alpha) is not finite.  The
-    search stops when the test passes or the next step would drop to the
-    ``alpha_min`` floor.  Returns ``(alpha, trial, residuals, accepted)``;
-    when no trial passes, the lowest-norm trial is returned with
-    ``accepted=False`` (ties keep the larger step) and the caller is
-    expected to raise the damping factor instead of taking an ascent step.
+    search ends accepted, at the first trial that passes the test, or
+    rejected: when the next step would drop to the ``alpha_min`` floor, or
+    when the quadratic through phi(0) and the last two trials with a finite
+    phi, its slope at 0 left free, is convex and has no step that passes the
+    test.  Returns ``(alpha, trial, residuals, accepted)``; when no trial
+    passes, the lowest-norm trial is returned with ``accepted=False`` (ties
+    keep the larger step) and the caller is expected to raise the damping
+    factor instead of taking an ascent step.
 
     A trial whose evaluation fails is treated like a failed decrease test;
     only if every trial fails to evaluate does the failure propagate.  A
@@ -291,6 +296,7 @@ def backtrack(
     alpha = 1.0
     best: tuple | None = None  # (norm, alpha, trial, residuals)
     last_failure: EvaluatorFailure | None = None
+    fitted: tuple | None = None  # (alpha, d) of the last trial with a finite phi
     norm_old = weighted_norm(r_old)
     while True:
         trial = box.clip(x + alpha * p)
@@ -304,8 +310,15 @@ def backtrack(
                 return alpha, trial, r_new, True
             if best is None or norm < best[0]:
                 best = (norm, alpha, trial, r_new)
-        # alpha**2 times the quadratic's curvature; inf or NaN without a finite phi
-        curv = 0.5 * (norm * norm - norm_old * norm_old) - slope * alpha
+        dphi = 0.5 * (norm * norm - norm_old * norm_old)  # inf or NaN without a finite phi
+        if math.isfinite(dphi):  # fit phi(0) + s a + C a^2: chord slopes d = s + C alpha
+            d = dphi / alpha
+            if fitted is not None:
+                curvature = (fitted[1] - d) / (fitted[0] - alpha)
+                if curvature > 0.0 and d - curvature * alpha >= config.armijo_c * slope:
+                    break  # convex, and no a > 0 passes Armijo on it
+            fitted = (alpha, d)
+        curv = dphi - slope * alpha  # alpha**2 times the quadratic's curvature
         shrink = -0.5 * slope * alpha / curv if 0.0 < curv < np.inf else 0.5
         alpha *= min(max(shrink, 0.1), 0.5)
         if alpha <= config.alpha_min:

@@ -93,13 +93,15 @@ def fd_jacobian(
     else:  # central: both sides of each column are probed, each clipped to the box
         base = None
         up, down = np.minimum(hi, np.maximum(lo, beta + h)), np.maximum(lo, beta - h)
+
+    def probe(j, value):  # each probe point a fresh array
+        point = beta.copy()
+        point[j] = value
+        return np.asarray(evaluate(point), dtype=float)
     for j in range(n):
-        plus, minus = beta.copy(), beta.copy()  # each probe point a fresh array
-        plus[j], minus[j] = up[j], down[j]
         try:
-            r_up = np.asarray(evaluate(plus), dtype=float)
-            r_down = (base if base is not None else
-                      np.asarray(evaluate(minus), dtype=float))
+            r_up = probe(j, up[j])
+            r_down = base if base is not None else probe(j, down[j])
         except EvaluatorFailure as exc:
             raise EvaluatorFailure(
                 f"probe for column {j} failed: {exc}", category=exc.category

@@ -608,7 +608,10 @@ def test_backtrack_floor_counts_and_argmin():
     # through phi(0) = 1, slope -2 and phi(a) = (3 - a)^2 / 2 is least at
     # a^2 / (3.5 - a + a^2 / 2): 1/3 after 1, 1/29 after 1/3; after 1/29 the
     # minimiser falls below 0.1 * a, so the clamp steps by tenths until the
-    # next step would reach the 1e-4 floor.
+    # next step would reach the 1e-4 floor.  This is the concave case: the
+    # trials' chord slopes d = 3.5 / a - 3 + a / 2 grow as a shrinks, so the
+    # quadratic through phi(0) and any two trials has negative curvature and
+    # only the floor ends the search.
     ev, seen = _trial_points(lambda point: np.array([3.0 + point[0], 0.0]))
     alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
     assert seen == pytest.approx([1.0, 1 / 3, 1 / 29, 1 / 290, 1 / 2900], rel=1e-12)
@@ -616,6 +619,56 @@ def test_backtrack_floor_counts_and_argmin():
     assert not ok
     assert alpha == 1.0 and np.array_equal(r_new, [2.0, 0.0])
     assert np.array_equal(trial, [-1.0, -1.0])  # the lowest-norm trial's point
+
+
+def test_backtrack_ends_when_the_fitted_slope_does_not_descend():
+    # The direction ascends: phi(a) = (1 + a)^2, though the secant slope says
+    # -2.  phi(1) = 4 fails and the next trial is 1 / 5.  The quadratic through
+    # phi(0) and the two trials is phi itself, 1 + 2 a + a^2: convex, with a
+    # slope +2 at 0 above armijo_c * -2, so no step passes and the search ends.
+    x, box, p, r_old, slope = _search_setup()
+    ev, seen = _trial_points(lambda point: np.full(2, 1.0 - point[0]))
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
+    assert seen == pytest.approx([1.0, 0.2], rel=1e-12) and ev.count == 2
+    assert not ok
+    assert alpha == seen[1]  # the lowest-norm trial
+    assert np.array_equal(trial, [-alpha, -alpha]) and np.array_equal(r_new, 1.0 - trial)
+
+
+def test_backtrack_goes_on_while_the_convex_fit_descends():
+    # phi(a) = 1 - 2 a + 50 a^2: the trials at 1 and 1/10 fail, and the
+    # quadratic through them, phi itself, is convex with the slope -2 at 0,
+    # below the Armijo line.  So a third trial is taken, at 1/50, and passes.
+    x, box, p, r_old, slope = _search_setup()
+    ev, seen = _trial_points(lambda point: np.array([1.0 - 6.0 * point[0],
+                                                     1.0 + 8.0 * point[0]]))
+    alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
+    assert seen == pytest.approx([1.0, 0.1, 0.02], rel=1e-12) and ev.count == 3
+    assert ok and alpha == pytest.approx(0.02, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["fails", "overflows"])
+def test_backtrack_never_fits_a_trial_without_a_finite_phi(bad):
+    # phi(a) = (1 + a)^2 ascends, as in the test of a slope that does not
+    # descend, but the trial at 1/5 fails or its squared norm overflows, so
+    # the step halves to 1/10.  The fit passes it by: it goes through the
+    # trials at 1 and 1/10, which end the search.
+    x, box, p, r_old, slope = _search_setup()
+
+    def fn(point):
+        if 0.15 < -point[0] < 0.5:
+            if bad == "fails":
+                raise EvaluatorFailure("unstable here")
+            return np.array([1e200, 1e200])
+        return np.full(2, 1.0 - point[0])
+
+    ev, seen = _trial_points(fn)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        alpha, trial, r_new, ok = backtrack(x, box, p, SolverConfig(), ev, r_old, slope)
+    assert seen == pytest.approx([1.0, 0.2, 0.1], rel=1e-12) and ev.count == 3
+    assert not ok
+    assert alpha == seen[2] and np.array_equal(r_new, 1.0 - trial)
 
 
 def test_backtrack_halves_without_positive_curvature():

@@ -7,6 +7,7 @@ from broydenfit import (
     ConfigError,
     Dataset,
     DatasetEvaluator,
+    EvaluatorFailure,
     ExponentialDecayModel,
     LinearModel,
     Parameters,
@@ -16,7 +17,9 @@ from broydenfit import (
     optimize,
 )
 from broydenfit.core import (
+    armijo_holds,
     assemble_lm_system,
+    backtrack,
     broyden_update,
     constrain_step,
     perturb_initial,
@@ -115,6 +118,79 @@ def test_constrain_step_solves_the_reduced_system(system):
     if free.any():
         assert p[free].tobytes() == solve(a[np.ix_(free, free)], rhs[free]).tobytes()
 
+
+
+@st.composite
+def line_searches(draw):
+    """A search along p = -1 from 0 whose residuals are quadratic in the step
+    a, r(a) = r0 + a u + a^2 w; the secant slope may be phi's own or wrong,
+    and a few trials fail to evaluate or overflow the squared norm."""
+    m = draw(st.integers(1, 3))
+    coefficient = st.floats(-10.0, 10.0)
+    r0, u, w = (np.array(draw(st.lists(coefficient, min_size=m, max_size=m)))
+                for _ in range(3))
+    slope = float(r0 @ u)  # phi'(0), used when it descends and is drawn
+    if not (slope < 0.0 and draw(st.booleans())):
+        slope = -draw(st.floats(1e-6, 1e3))
+    bad = draw(st.dictionaries(st.integers(0, 6), st.sampled_from(["fails", "overflows"]),
+                               max_size=3))
+    return r0, u, w, slope, bad, draw(st.sampled_from([1e-4, 0.1, 0.5]))
+
+
+def _no_armijo_step_left(first, second, norm_old, slope, c):
+    """The stop rule of ``backtrack`` on two trials (alpha, norm): the
+    quadratic through phi(0) and both is convex, and its slope at 0 does not
+    descend below the Armijo line."""
+    (a1, n1), (a2, n2) = first, second
+    d1, d2 = ((0.5 * (n * n - norm_old * norm_old)) / a for a, n in (first, second))
+    curvature = (d1 - d2) / (a1 - a2)
+    return curvature > 0.0 and d2 - curvature * a2 >= c * slope
+
+
+@given(line_searches())
+@settings(max_examples=300, deadline=None)
+def test_every_line_search_ends_in_one_of_three_ways(search):
+    r0, u, w, slope, bad, c = search
+    config = SolverConfig(armijo_c=c)
+    trials = []  # (alpha, norm), norm None for a trial that failed
+
+    def ev(point):
+        a, kind = -point[0], bad.get(len(trials))
+        if kind == "fails":
+            trials.append((a, None))
+            raise EvaluatorFailure("boom")
+        r = np.full(r0.size, 1e200) if kind == "overflows" else r0 + a * u + a * a * w
+        trials.append((a, weighted_norm(r)))
+        return r
+
+    box = Parameters([0.0])
+    norm_old = weighted_norm(r0)
+    with np.errstate(over="ignore"):
+        try:
+            alpha, trial, r_new, ok = backtrack(box.values, box, np.array([-1.0]), config,
+                                                ev, r0, slope)
+        except EvaluatorFailure:
+            assert all(norm is None for _, norm in trials)
+            return
+        fitted = [t for t in trials if t[1] is not None
+                  and np.isfinite(0.5 * (t[1] * t[1] - norm_old * norm_old))]
+    pairs = list(zip(fitted, fitted[1:]))
+    rule_ends = pairs and pairs[-1][1] is trials[-1] and _no_armijo_step_left(
+        *pairs[-1], norm_old, slope, c)
+    # No earlier pair of fitted trials met the rule, or the search would have ended there.
+    assert not any(_no_armijo_step_left(*pair, norm_old, slope, c)
+                   for pair in pairs[:len(pairs) - bool(rule_ends)])
+    assert np.array_equal(trial, [-alpha])
+    if ok:  # accepted at the last trial, with Armijo holding there
+        assert alpha == trials[-1][0]
+        assert armijo_holds(norm_old, weighted_norm(r_new), slope, alpha, c)
+        return
+    # Rejected: at the floor, where the next step, at least a tenth of the
+    # last, would drop to alpha_min, or where the last two fitted trials meet
+    # the rule.  The lowest-norm trial is returned, the larger step on a tie.
+    assert rule_ends or 0.1 * trials[-1][0] <= config.alpha_min
+    norms = [t for t in trials if t[1] is not None]
+    assert (alpha, weighted_norm(r_new)) == min(norms, key=lambda t: t[1])
 
 def test_gradient_descent_limit():
     # Coordinate-wise relative comparison against -g_j / (lam * gram_jj).

@@ -111,7 +111,7 @@ _EXITS = [
     ("converged", lambda: lambda b: np.array([3.0, 3.0]), dict(n_params=2),
      RunStatus.Converged, None, 1, 2, 8.999999999999998, False),
     ("max-iterations", lambda: _line, dict(n_params=2, config=SolverConfig(max_iterations=2)),
-     RunStatus.MaxIterations, None, 2, 9, 0.452677346766747, False),
+     RunStatus.MaxIterations, None, 2, 5, 0.452677346766747, False),
     ("first-bootstrap-call", lambda: _fails_from(1, _shifted), dict(n_params=1),
      RunStatus.EvaluatorFailure, "bootstrap: boom", 0, 1, np.inf, True),
     ("second-bootstrap-call", lambda: _fails_from(2, _shifted), dict(n_params=1),
@@ -131,10 +131,10 @@ _EXITS = [
      "iteration 1: every line-search trial failed to evaluate: boom", 0, 16, 1.0001, False),
     ("no-decrease-at-cap", lambda: _kink, dict(beta0=[1.0]),
      RunStatus.LineSearchFloor, "iteration 15: no sufficient-decrease step at damping cap",
-     15, 122, 1.0000000000000002, False),
+     15, 39, 1.0000000000000002, False),
     # Iterations 1 and 2 reject, so iteration 3 rebuilds B; its first probe fails.
-    ("stall-refresh", lambda: _fails_from(17, _kink), dict(beta0=[1.0]),
-     RunStatus.EvaluatorFailure, "iteration 3: probe for column 0 failed: boom", 2, 17,
+    ("stall-refresh", lambda: _fails_from(7, _kink), dict(beta0=[1.0]),
+     RunStatus.EvaluatorFailure, "iteration 3: probe for column 0 failed: boom", 2, 7,
      1.0000000000000002, True),
 ]
 
@@ -326,7 +326,7 @@ def test_line_search_floor_after_damping_cap():
                  "iteration 1: singular system at damping cap "
                  "(pivot ratio 0.000e+00 below 1e-14)", 0, 4, id="singular"),
     pytest.param(_kink, dict(beta0=[1.0], config=SolverConfig(lambda_init=0.0)),
-                 "iteration 26: no sufficient-decrease step at damping cap", 26, 202,
+                 "iteration 26: no sufficient-decrease step at damping cap", 26, 66,
                  id="no-decrease"),
 ])
 def test_zero_initial_damping_still_reaches_the_cap(residuals, kwargs, reason, records,

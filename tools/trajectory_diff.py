@@ -27,10 +27,12 @@ the first few names, each with the top-level keys that differ
 final-parameter change among the problems that differ
 (``workloads.deviation`` of the change's final beta from the parent's), with
 the problem's name, which sizes a round-off-only change; then per side the
-totals of each status, of evaluator calls, of failed fits and of WARNING
-records, where a fit fails as in the benchmark: it did not converge, or its
-parameters lie more than ``workloads.TOLERANCE`` from the reference
-solution.  Before the totals, it counts the fits the change fixed and names
+totals of each status, of evaluator calls, of rejected line searches
+(iteration records with ``armijo_satisfied`` false, printed beside the
+calls, so the calls a change saves per search show without a spy), of
+failed fits and of WARNING records, where a fit fails as in the benchmark:
+it did not converge, or its parameters lie more than ``workloads.TOLERANCE``
+from the reference solution.  Before the totals, it counts the fits the change fixed and names
 those it newly failed.  On ``corpus`` the calls and failed fits are also totalled per
 variant (the ``/plain``, ``/weighted``, ``/bounded`` or ``/hybrid`` suffix
 of the problem's name).  One ``reason`` row per distinct
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
             d = json.loads(text)
             rows[f"status {d['status']}"][side] += 1
             rows["warnings"][side] += d["warnings"]
+            records = d["report"]["iterations"] if "report" in d else d["iterations"]
+            rows["rejected searches"][side] += sum(
+                not rec["armijo_satisfied"] for rec in records)
             if d["reason"]:
                 rows["reason " + re.sub(r"^iteration \d+: ", "", d["reason"])][side] += 1
             suffixes = [""] + ([f" {name.rsplit('/', 1)[1]}"]
@@ -268,7 +273,9 @@ def main(argv=None) -> int:
                 rows["failed" + suffix][side] += name in failed[side]
     width = max(28, *(len(label) + 2 for label in rows))
     print(f"{'':{width}}{'parent':>10}{'change':>10}")
-    for label, row in sorted(rows.items()):
+    # The rejected searches go right after the calls ("evaluations" and its variants).
+    for label, row in sorted(rows.items(), key=lambda item: item[0].replace(
+            "rejected searches", "evaluations~")):
         print(f"{label:{width}}{row.get('parent', 0):>10}{row.get('change', 0):>10}")
     return 1 if differ else 0
 
