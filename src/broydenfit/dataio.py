@@ -3,7 +3,10 @@
 Three small, versioned schemas (documented in the README):
 
 * dataset/1 - comma-separated text with a header naming columns
-  ``x1..xd``, ``y``, and optionally ``weight``;
+  ``x1..xd``, ``y``, and optionally ``weight``.  The body is parsed in one
+  vectorized numpy pass; a csv reader that reads one record at a time
+  defines the format, and runs only where that pass fails or refuses, to
+  name the fault and its line or to read what numpy does not;
 * runspec/1 - JSON describing the model (built-in analytic or external
   command), data, starting point, bounds, weighting, and solver overrides;
 * report/1 - JSON dump of a run report, or a CSV iteration trace suitable
@@ -21,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -68,39 +72,62 @@ def load_dataset(path) -> Dataset:
     The header must name columns ``x1..xd`` (d >= 1, contiguous) and ``y``;
     a ``weight`` column is optional.  Column order is free; rows keep file
     order.  A path ``open`` refuses as a value is a ``ConfigError`` naming ``dataset``.
+    Values are those of Python's ``float``, whichever of :func:`_read_table`
+    and :func:`_read_rows` reads them.
     """
+    text = _read_text(path)
+    names, table = _read_table(text) or _read_rows(text)
+    col = dict(zip(names, table.T))
+    d = sum(name.startswith("x") for name in names)
+    return Dataset(x=np.column_stack([col[f"x{j}"] for j in range(1, d + 1)]),
+                   y=col["y"], weights=col.get("weight"))
+
+
+def _read_text(path) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except ValueError as exc:  # a NUL byte in the path
         raise ConfigError(f"dataset path {path!r}: {exc}", key="dataset") from None
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
-        rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(reader)]
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"line {line}: not UTF-8 text ({exc.reason})", line=line) from None
+
+
+def _check_header(names: list, line: int) -> None:
+    if "y" not in names:
+        raise ParseError("header is missing the 'y' column", line=line)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate column names in header", line=line)
+    x_names = [h for h in names if h.startswith("x")]
+    expected_x = [f"x{j}" for j in range(1, len(x_names) + 1)]
+    if not x_names or sorted(x_names) != sorted(expected_x):
+        raise ParseError(f"expected contiguous columns x1..xd, got {x_names}", line=line)
+    extras = set(names) - set(expected_x) - {"y", "weight"}
+    if extras:
+        raise ParseError(f"unknown columns {sorted(extras)}", line=line)
+
+
+def _stripped(row: list) -> list:
+    return [c.strip() for c in row]
+
+
+def _read_rows(text: str) -> tuple[list, np.ndarray]:
+    """The header and the table of dataset/1 ``text``, read one csv record at
+    a time.  This reader defines the format: every :class:`ParseError` past
+    the text's decoding comes from it, naming the record's line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(i + 1, _stripped(row)) for i, row in enumerate(reader)]
     except csv.Error as exc:  # a cell beyond csv's field size limit
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
     rows = [(line, row) for line, row in rows if any(row)]
     if not rows:
         raise ParseError("empty file: expected a header row", line=1)
     header_line, names = rows[0]
-    if "y" not in names:
-        raise ParseError("header is missing the 'y' column", line=header_line)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate column names in header", line=header_line)
-    x_names = [h for h in names if h.startswith("x")]
-    d = len(x_names)
-    expected_x = [f"x{j}" for j in range(1, d + 1)]
-    if d == 0 or sorted(x_names) != sorted(expected_x):
-        raise ParseError(
-            f"expected contiguous columns x1..xd, got {x_names}", line=header_line
-        )
-    extras = set(names) - set(expected_x) - {"y", "weight"}
-    if extras:
-        raise ParseError(f"unknown columns {sorted(extras)}", line=header_line)
-
+    _check_header(names, header_line)
     if len(rows) == 1:
         raise ParseError("no data rows after the header", line=header_line + 1)
     table = []
@@ -109,15 +136,56 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"line {line}: expected {len(names)} cells, got {len(row)}",
                              line=line)
         table.append([_parse_cell(cell, line, name) for cell, name in zip(row, names)])
-    col = dict(zip(names, np.array(table).T))
-    w = col.get("weight")
-    if w is not None and np.any(w <= 0):
-        i = int(np.argmax(w <= 0))
-        line = rows[i + 1][0]
-        raise ParseError(f"line {line}: weight must be strictly positive, got {w[i]}",
-                         line=line)
-    return Dataset(x=np.column_stack([col[name] for name in expected_x]), y=col["y"],
-                   weights=w)
+    table = np.array(table)
+    if "weight" in names:
+        w = table[:, names.index("weight")]
+        if np.any(w <= 0):
+            i = int(np.argmax(w <= 0))
+            line = rows[i + 1][0]
+            raise ParseError(f"line {line}: weight must be strictly positive, got {w[i]}",
+                             line=line)
+    return names, table
+
+
+_NOT_SPACE = re.compile(r"\S")
+
+
+def _read_table(text: str) -> tuple[list, np.ndarray] | None:
+    """What :func:`_read_rows` returns for ``text``, parsed in one vectorized
+    pass; ``None`` wherever that pass might differ, so that the line reader
+    runs instead: at any fault, on a cell numpy does not parse but ``float``
+    does (quoted, ``1_000``, non-ASCII digits), on a whitespace-only row, and
+    on a line that might hold a cell beyond csv's field size limit."""
+    stream = io.StringIO(text, newline="")
+    try:
+        names = next(row for row in map(_stripped, csv.reader(stream)) if any(row))
+        _check_header(names, 0)
+    except (StopIteration, csv.Error, ParseError):
+        return None
+    body = stream.tell()
+    if not (_NOT_SPACE.search(text, body)  # no data rows: loadtxt would warn
+            and _lines_within(text, body, csv.field_size_limit())):
+        return None
+    try:
+        table = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(names) or not np.isfinite(table).all():
+        return None
+    if "weight" in names and not np.all(table[:, names.index("weight")] > 0):
+        return None
+    return names, table
+
+
+def _lines_within(text: str, start: int, limit: int) -> bool:
+    """Whether every line of ``text[start:]``, split at ``\\n`` only, has at
+    most ``limit`` characters; one ``rfind`` per ``limit`` characters."""
+    while len(text) - start > limit:
+        end = text.rfind("\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
 
 
 def _load_json(path):

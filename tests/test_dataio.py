@@ -15,6 +15,7 @@ from broydenfit import (
     SolverConfig,
     optimize,
 )
+from broydenfit import dataio
 from broydenfit.dataio import (
     RunSpec,
     load_dataset,
@@ -113,6 +114,52 @@ def test_unknown_column(tmp_path):
 def test_non_finite_value_rejected(tmp_path):
     with pytest.raises(ParseError):
         load_dataset(write(tmp_path, "d.csv", "x1,y\n0,inf\n"))
+
+
+# What loads, and whether the vectorized pass reads it or leaves it to the line
+# reader; either way the values are those of Python's float.
+@pytest.mark.parametrize("text, x, y, weights, vectorized", [
+    ("x1 ,\ty\n 0 ,\t1\t\n1  ,  3\n", [[0.0], [1.0]], [1.0, 3.0], None, True),
+    ('"x1",y\n"0","1"\n1,"3"\n', [[0.0], [1.0]], [1.0, 3.0], None, False),
+    ("\n\nx1,y\n\n0,1\n\n1,3\n\n", [[0.0], [1.0]], [1.0, 3.0], None, True),
+    ("\n \t\nx1,y\n0,1\n  \n1,3\n , \n", [[0.0], [1.0]], [1.0, 3.0], None, False),
+    ("x1,y\r\n0,1\r\n\r\n1,3\r\n", [[0.0], [1.0]], [1.0, 3.0], None, True),
+    ("\ufeffx1,y\r\n0,1\r\n1,3\r\n", [[0.0], [1.0]], [1.0, 3.0], None, True),
+    ("x1,y\n1_000,١٢\n", [[1000.0]], [12.0], None, False),
+    ("x1,y\n+.5,5.\n1E3,-0\n", [[0.5], [1000.0]], [5.0, -0.0], None, True),
+    ("weight,y,x2,x1\n2,7,2,1\n0.5,8,4,3\n", [[1.0, 2.0], [3.0, 4.0]], [7.0, 8.0],
+     [2.0, 0.5], True),
+], ids=["padded", "quoted", "blank-rows", "whitespace-rows", "crlf", "crlf-bom",
+        "python-float-forms", "signs-and-exponents", "weight-any-order"])
+def test_what_loads(tmp_path, text, x, y, weights, vectorized):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    data = load_dataset(path)
+    assert np.array_equal(data.x, x) and np.array_equal(data.y, y)
+    assert np.array_equal(np.signbit(data.y), np.signbit(y))
+    assert (data.weights is None) if weights is None else np.array_equal(data.weights,
+                                                                         weights)
+    assert (dataio._read_table(text.removeprefix("\ufeff")) is not None) == vectorized
+
+
+# What is refused, with its message and line: line 2 always loads, and the
+# blank line 4 still counts.
+@pytest.mark.parametrize("row, message", [
+    ("#1,2", "column 'x1' has non-numeric value '#1'"),
+    ("0x10,2", "column 'x1' has non-numeric value '0x10'"),
+    ("1,nan", "column 'y' must be finite, got 'nan'"),
+    ("1e400,2", "column 'x1' must be finite, got '1e400'"),
+    ("1,2,", "expected 2 cells, got 3"),
+    ("1", "expected 2 cells, got 1"),
+    # A finite value, but a cell longer than csv's field size limit.
+    ("0." + "0" * 140_000 + "1,2", "field larger than field limit (131072)"),
+], ids=["comment", "hex", "nan", "overflow", "trailing-comma", "short-row",
+        "field-limit"])
+def test_what_is_refused(tmp_path, row, message):
+    for text, line in ((f"x1,y\n0,1\n{row}\n", 3), (f"x1,y\n0,1\n1,3\n\n{row}\n", 5)):
+        with pytest.raises(ParseError) as err:
+            load_dataset(write(tmp_path, "d.csv", text))
+        assert str(err.value) == f"line {line}: {message}" and err.value.line == line
 
 
 # --- run specs ----------------------------------------------------------------

@@ -6,9 +6,11 @@ the same way: a :class:`ConfigError` naming the key.  Decoded reports are
 checked by the same rules, and a malformed report is a :class:`ParseError`.
 """
 
+import contextlib
 import json
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from broydenfit import (
     make_model,
     optimize,
 )
+from broydenfit import dataio
 from broydenfit.cli import main
 from broydenfit.dataio import (
     RunSpec,
@@ -391,6 +394,80 @@ def test_load_dataset_of_any_bytes_raises_only_parse_error(tmp_path, data):
         load_dataset(tmp_path / "d.csv")
     except ParseError:
         pass
+
+
+def loaded(path, line_reader_only=False):
+    """What ``load_dataset`` makes of ``path``: the arrays' bytes, or the
+    ParseError's message and line.  ``line_reader_only`` turns the vectorized
+    pass off."""
+    off = mock.patch.object(dataio, "_read_table", return_value=None)
+    with off if line_reader_only else contextlib.nullcontext():
+        try:
+            data = load_dataset(path)
+        except ParseError as exc:
+            return str(exc), exc.line
+    return [None if a is None else (a.shape, a.tobytes())
+            for a in (data.x, data.y, data.weights)]
+
+
+# Cells that numpy and Python's float might read differently, or not at all.
+odd_cells = st.sampled_from(
+    ["#", "#1", "2#3", "0x10", "1_000", "\u0661\u0662", '"1"', "1 2", "-0", "+.5", "5.",
+     "1E3", "nan", "-inf", "1e400", "", " ", "\x00", "\xa01\x0c", "\ufeff1", "1\r2"])
+
+
+@st.composite
+def dataset_tables(draw, odd=False):
+    """dataset/1 text of finite values written with ``repr``, and whether the
+    vectorized pass reads it: it leaves whitespace-only rows after the header
+    to the line reader.  ``odd`` puts one odd cell in."""
+    d = draw(st.integers(1, 3))
+    weight = draw(st.sampled_from([[], ["weight"]]))
+    names = draw(st.permutations([f"x{j}" for j in range(1, d + 1)] + ["y"] + weight))
+    values = {"weight": st.floats(min_value=0, exclude_min=True, allow_infinity=False)}
+    rows = [[repr(draw(values.get(name, st.floats(allow_nan=False, allow_infinity=False))))
+             for name in names]
+            for _ in range(draw(st.integers(1, 6)))]
+    if odd:  # in place of a cell, after a value, or in place of a row
+        row = draw(st.sampled_from(rows))
+        where = draw(st.sampled_from(["cell", "after", "row"]))
+        cell = draw(st.integers(0, len(names) - 1))
+        if where == "row":
+            row[:] = [draw(odd_cells)]
+        else:
+            row[cell] = (row[cell] if where == "after" else "") + draw(odd_cells)
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    blanks = st.lists(st.sampled_from(["", " ", "\t", " , "]), max_size=2)
+
+    def line(cells):
+        return ",".join(draw(pad) + cell + draw(pad) for cell in cells)
+
+    head = draw(blanks) + [line(names)]
+    body = []
+    for row in rows:
+        body += draw(blanks) + [line(row)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(head + body) + newline
+    return text, not any(line and not line.strip(" \t,") for line in body)
+
+
+@fuzz
+@given(dataset_tables())
+def test_the_vectorized_pass_loads_what_the_line_reader_loads(tmp_path, table):
+    text, vectorized = table
+    (tmp_path / "d.csv").write_bytes(text.encode())
+    assert loaded(tmp_path / "d.csv") == loaded(tmp_path / "d.csv", line_reader_only=True)
+    assert (dataio._read_table(text.removeprefix("\ufeff")) is not None) == vectorized
+
+
+@fuzz
+@given(dataset_tables(odd=True).map(lambda table: table[0]) | st.text(max_size=40))
+@example("x1,y\n1,2#3\n")
+@example("x1,y\n0,0." + "0" * 140_000 + "1\n")
+@example("x1,y\n\n\r\n")
+def test_the_vectorized_pass_agrees_with_the_line_reader_on_any_text(tmp_path, text):
+    (tmp_path / "d.csv").write_bytes(text.encode())
+    assert loaded(tmp_path / "d.csv") == loaded(tmp_path / "d.csv", line_reader_only=True)
 
 
 # --- reports ------------------------------------------------------------------------
