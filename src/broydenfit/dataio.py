@@ -3,9 +3,9 @@
 Three small, versioned schemas (documented in the README):
 
 * dataset/1 - comma-separated text with a header naming columns
-  ``x1..xd``, ``y``, and optionally ``weight``.  The body is parsed in one
-  vectorized numpy pass; a csv reader that reads one record at a time
-  defines the format, and runs only where that pass fails or refuses, to
+  ``x1..xd``, ``y``, and optionally ``weight``.  One csv reader defines the
+  format: it reads the header, numpy parses the body in one vectorized pass,
+  and where numpy refuses, the csv reader reads on one record at a time, to
   name the fault and its line or to read what numpy does not;
 * runspec/1 - JSON describing the model (built-in analytic or external
   command), data, starting point, bounds, weighting, and solver overrides;
@@ -63,6 +63,9 @@ def _parse_cell(text: str, line: int, column: str) -> float:
         raise ParseError(
             f"line {line}: column {column!r} must be finite, got {text!r}", line=line
         )
+    if column == "weight" and value <= 0:
+        raise ParseError(f"line {line}: weight must be strictly positive, got {value}",
+                         line=line)
     return value
 
 
@@ -72,11 +75,10 @@ def load_dataset(path) -> Dataset:
     The header must name columns ``x1..xd`` (d >= 1, contiguous) and ``y``;
     a ``weight`` column is optional.  Column order is free; rows keep file
     order.  A path ``open`` refuses as a value is a ``ConfigError`` naming ``dataset``.
-    Values are those of Python's ``float``, whichever of :func:`_read_table`
-    and :func:`_read_rows` reads them.
+    Values are those of Python's ``float``, whether numpy or csv reads them;
+    a fault is a ``ParseError`` naming the line where its record starts.
     """
-    text = _read_text(path)
-    names, table = _read_table(text) or _read_rows(text)
+    names, table = _read_table(_read_text(path))
     col = dict(zip(names, table.T))
     d = sum(name.startswith("x") for name in names)
     return Dataset(x=np.column_stack([col[f"x{j}"] for j in range(1, d + 1)]),
@@ -110,71 +112,53 @@ def _check_header(names: list, line: int) -> None:
         raise ParseError(f"unknown columns {sorted(extras)}", line=line)
 
 
-def _stripped(row: list) -> list:
-    return [c.strip() for c in row]
+_NOT_SPACE = re.compile(r"\S")
 
 
-def _read_rows(text: str) -> tuple[list, np.ndarray]:
-    """The header and the table of dataset/1 ``text``, read one csv record at
-    a time.  This reader defines the format: every :class:`ParseError` past
-    the text's decoding comes from it, naming the record's line."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _records(reader):
+    """The non-blank records of csv ``reader``, stripped, and the lines they start on."""
+    line = reader.line_num + 1
     try:
-        rows = [(i + 1, _stripped(row)) for i, row in enumerate(reader)]
-    except csv.Error as exc:  # a cell beyond csv's field size limit
-        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
-    rows = [(line, row) for line, row in rows if any(row)]
-    if not rows:
+        for row in reader:
+            row = [cell.strip() for cell in row]
+            if any(row):
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {line}: {exc}", line=line) from None
+
+
+def _read_table(text: str) -> tuple[list, np.ndarray]:
+    """The header and the table of dataset/1 ``text``.  One csv reader reads
+    the header and numpy the body after it, unless the body is blank (loadtxt
+    would warn) or has a line longer than csv's field size limit.  Where numpy
+    or a check on its table refuses, the csv reader reads on from the header,
+    one record at a time: it alone names each fault and its line."""
+    stream = io.StringIO(text, newline="")
+    records = _records(csv.reader(stream))
+    header_line, names = next(records, (1, None))
+    if names is None:
         raise ParseError("empty file: expected a header row", line=1)
-    header_line, names = rows[0]
     _check_header(names, header_line)
-    if len(rows) == 1:
-        raise ParseError("no data rows after the header", line=header_line + 1)
+    body = stream.tell()
+    if _NOT_SPACE.search(text, body) and _lines_within(text, body, csv.field_size_limit()):
+        try:
+            table = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == len(names) and np.isfinite(table).all() and (
+                    "weight" not in names or np.all(table[:, names.index("weight")] > 0)):
+                return names, table
+        except ValueError:
+            pass
+        stream.seek(body)
     table = []
-    for line, row in rows[1:]:
+    for line, row in records:
         if len(row) != len(names):
             raise ParseError(f"line {line}: expected {len(names)} cells, got {len(row)}",
                              line=line)
         table.append([_parse_cell(cell, line, name) for cell, name in zip(row, names)])
-    table = np.array(table)
-    if "weight" in names:
-        w = table[:, names.index("weight")]
-        if np.any(w <= 0):
-            i = int(np.argmax(w <= 0))
-            line = rows[i + 1][0]
-            raise ParseError(f"line {line}: weight must be strictly positive, got {w[i]}",
-                             line=line)
-    return names, table
-
-
-_NOT_SPACE = re.compile(r"\S")
-
-
-def _read_table(text: str) -> tuple[list, np.ndarray] | None:
-    """What :func:`_read_rows` returns for ``text``, parsed in one vectorized
-    pass; ``None`` wherever that pass might differ, so that the line reader
-    runs instead: at any fault, on a cell numpy does not parse but ``float``
-    does (quoted, ``1_000``, non-ASCII digits), on a whitespace-only row, and
-    on a line that might hold a cell beyond csv's field size limit."""
-    stream = io.StringIO(text, newline="")
-    try:
-        names = next(row for row in map(_stripped, csv.reader(stream)) if any(row))
-        _check_header(names, 0)
-    except (StopIteration, csv.Error, ParseError):
-        return None
-    body = stream.tell()
-    if not (_NOT_SPACE.search(text, body)  # no data rows: loadtxt would warn
-            and _lines_within(text, body, csv.field_size_limit())):
-        return None
-    try:
-        table = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape[1] != len(names) or not np.isfinite(table).all():
-        return None
-    if "weight" in names and not np.all(table[:, names.index("weight")] > 0):
-        return None
-    return names, table
+    if not table:
+        raise ParseError("no data rows after the header", line=header_line + 1)
+    return names, np.array(table)
 
 
 def _lines_within(text: str, start: int, limit: int) -> bool:

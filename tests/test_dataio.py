@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,17 +130,20 @@ def test_non_finite_value_rejected(tmp_path):
     ("x1,y\n+.5,5.\n1E3,-0\n", [[0.5], [1000.0]], [5.0, -0.0], None, True),
     ("weight,y,x2,x1\n2,7,2,1\n0.5,8,4,3\n", [[1.0, 2.0], [3.0, 4.0]], [7.0, 8.0],
      [2.0, 0.5], True),
+    ('x1,y\n"1\n",2\n', [[1.0]], [2.0], None, False),
 ], ids=["padded", "quoted", "blank-rows", "whitespace-rows", "crlf", "crlf-bom",
-        "python-float-forms", "signs-and-exponents", "weight-any-order"])
+        "python-float-forms", "signs-and-exponents", "weight-any-order",
+        "quoted-newline"])
 def test_what_loads(tmp_path, text, x, y, weights, vectorized):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
-    data = load_dataset(path)
+    with mock.patch.object(dataio, "_parse_cell", wraps=dataio._parse_cell) as spy:
+        data = load_dataset(path)
     assert np.array_equal(data.x, x) and np.array_equal(data.y, y)
     assert np.array_equal(np.signbit(data.y), np.signbit(y))
     assert (data.weights is None) if weights is None else np.array_equal(data.weights,
                                                                          weights)
-    assert (dataio._read_table(text.removeprefix("\ufeff")) is not None) == vectorized
+    assert (spy.call_count == 0) == vectorized
 
 
 # What is refused, with its message and line: line 2 always loads, and the
@@ -160,6 +164,25 @@ def test_what_is_refused(tmp_path, row, message):
         with pytest.raises(ParseError) as err:
             load_dataset(write(tmp_path, "d.csv", text))
         assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+
+# Where the csv reader reads the body, a fault names the line where its record
+# starts: blank rows before the header count, and so does a quoted cell that
+# spans two lines.  The header is checked before the body is read, and the
+# cells of the body in file order, weights too.
+@pytest.mark.parametrize("text, message, line", [
+    ('x1,y\n"1\n",2\n0,abc\n', "line 4: column 'y' has non-numeric value 'abc'", 4),
+    ("\n\nx1,y\n1_000,2\n\n0,abc\n", "line 6: column 'y' has non-numeric value 'abc'", 6),
+    ("\n\nx1,y\n1_000,2\n\n0\n", "line 6: expected 2 cells, got 1", 6),
+    ("\n" + "x" * 140_000 + ",y\n0,1\n", "line 2: field larger than field limit (131072)", 2),
+    ("x1,z\n0,1\n" + "1" * 140_000 + ",2\n", "header is missing the 'y' column", 1),
+    ("x1,y,weight\n0,1,0\n1,abc,1\n", "line 2: weight must be strictly positive, got 0.0", 2),
+], ids=["quoted-newline", "blank-rows-then-csv", "short-row-after-csv", "header-field-limit",
+        "header-before-body", "weight-in-file-order"])
+def test_what_is_refused_where_the_csv_reader_reads(tmp_path, text, message, line):
+    with pytest.raises(ParseError) as err:
+        load_dataset(write(tmp_path, "d.csv", text))
+    assert str(err.value) == message and err.value.line == line
 
 
 # --- run specs ----------------------------------------------------------------
